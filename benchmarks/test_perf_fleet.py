@@ -10,11 +10,13 @@ shape (straggler bound, schema) -- never on absolute time.
 
 Six execution modes are timed:
 
-* ``sequential`` -- the legacy single-process driver on the reference
-  binary-heap event engine (batched IO legs, the shipping default);
+* ``sequential`` -- the legacy single-process driver pinned to the
+  reference binary-heap event engine (``engine="heap"``, batched IO legs):
+  the reference every same-run ratio below divides by;
 * ``sequential_columnar`` -- the same driver on the batched columnar
-  calendar-queue engine (``engine="columnar"``): the measurement surface
-  is asserted byte-identical to the heap run, only wall-clock may differ;
+  calendar-queue engine (``engine="columnar"``, the shipping default):
+  the measurement surface is asserted byte-identical to the heap run,
+  only wall-clock may differ;
 * ``sequential_columnar_chunked`` -- the columnar engine with the
   per-chunk storage reader (``io_mode="chunked"``): the pre-batching
   reference leg.  Its events-processed count is deterministically
@@ -31,6 +33,9 @@ Six execution modes are timed:
   its speedup fields are ``null`` -- a 1-worker "speedup" of ~1.0x is
   noise, not a scheduler measurement;
 * ``observed`` -- the sequential run with the metrics registry on.
+
+Every leg except the two ``sequential_columnar*`` legs is pinned to the
+heap engine, so its ratio against ``sequential`` compares like with like.
 
 The report schema is guarded: every field written here must already exist
 in the committed ``BENCH_fleet.json``, so schema drift (new fields,
@@ -129,7 +134,9 @@ def test_fleet_hot_path_perf_report():
         json.loads(REPORT_PATH.read_text()) if REPORT_PATH.exists() else {}
     )
 
-    sequential, seq_wall = _timed_run(FleetSimulation(queries=QUERIES, seed=SEED))
+    sequential, seq_wall = _timed_run(
+        FleetSimulation(queries=QUERIES, seed=SEED, engine="heap")
+    )
     columnar, col_wall = _timed_run(
         FleetSimulation(queries=QUERIES, seed=SEED, engine="columnar")
     )
@@ -140,13 +147,17 @@ def test_fleet_hot_path_perf_report():
 
     ws_start = time.perf_counter()
     work_stealing = run_fleet(
-        FleetConfig(queries=QUERIES, seed=SEED, parallel=True, shards="auto")
+        FleetConfig(
+            queries=QUERIES, seed=SEED, parallel=True, shards="auto", engine="heap"
+        )
     )
     ws_wall = time.perf_counter() - ws_start
     stats = work_stealing.scheduler
 
     observed_start = time.perf_counter()
-    observed = run_fleet(FleetConfig(queries=QUERIES, seed=SEED, observability=True))
+    observed = run_fleet(
+        FleetConfig(queries=QUERIES, seed=SEED, observability=True, engine="heap")
+    )
     obs_wall = time.perf_counter() - observed_start
 
     samples = sequential.profiler.sample_count()
@@ -365,7 +376,7 @@ def test_fleet_hot_path_perf_report():
 
 
 def _timed_run_parallel_platform():
-    sim = FleetSimulation(queries=QUERIES, seed=SEED)
+    sim = FleetSimulation(queries=QUERIES, seed=SEED, engine="heap")
     start = time.perf_counter()
     result = run_parallel(sim, max_workers=len(PLATFORMS))
     return result, time.perf_counter() - start

@@ -140,12 +140,13 @@ class FleetConfig:
     fault_plans: Mapping[str, Any] | None = None
     coalesce: bool = True
     observability: ObservabilityConfig | Mapping[str, float] | bool | None = None
-    #: Event-engine lane: ``"heap"`` (one heappop per event) or
-    #: ``"columnar"`` (SoA event blocks drained in time-bucketed batches by
-    #: a calendar queue).  Measurements are byte-identical either way --
-    #: the ``engine`` differential pair in ``repro selftest`` and the
-    #: exporter goldens enforce it.
-    engine: str = "heap"
+    #: Event-engine lane: ``"columnar"`` (SoA event blocks drained in
+    #: time-bucketed batches by a calendar queue; short CPU runs take the
+    #: heap recorder) or the reference ``"heap"`` (one heappop per event).
+    #: Measurements are byte-identical either way -- the ``engine``
+    #: differential pair in ``repro selftest`` and the exporter goldens
+    #: enforce it.
+    engine: str = "columnar"
     #: Storage read-path lane: ``"batched"`` plans each multi-chunk DFS
     #: read up front and schedules one event per tier-contiguous leg (one
     #: generator resume per read); ``"chunked"`` is the legacy
@@ -355,7 +356,7 @@ class ServeConfig:
     drain_windows: int = 50
     #: Event-engine lane, as on :class:`FleetConfig`; snapshots are
     #: byte-identical either way (the ``service`` differential pair).
-    engine: str = "heap"
+    engine: str = "columnar"
 
     def with_overrides(self, **overrides) -> "ServeConfig":
         """A copy with the given fields replaced (validates field names)."""

@@ -25,6 +25,13 @@ __all__ = ["NodeDown", "WorkContext", "ServerNode"]
 
 _CPU = SpanKind.CPU
 
+#: Chunk-run length below which numpy set-up costs more than it saves.
+#: :meth:`_ColumnarBatchRecorder.drain` folds drains of at most this many
+#: chunks in plain Python, and
+#: :class:`~repro.platforms.common.ColumnarCpuChunker` hands runs whose
+#: chunk-count bound falls below it to the heap recorder as plain lists.
+SMALL_RUN_CHUNKS = 64
+
 
 class NodeDown(RuntimeError):
     """Raised when work is dispatched to (or interrupted by) a crashed node."""
@@ -691,7 +698,7 @@ class _ColumnarBatchRecorder(_BatchRecorder):
             period = self.period
             platform = self.platform
             block = self.chunks
-            if j - i <= 64:
+            if j - i <= SMALL_RUN_CHUNKS:
                 # Crossing-dense drains (OLTP batches are a handful of chunks)
                 # skip the numpy window machinery below: plain Python float
                 # adds perform the identical left-to-right float64 fold, so
@@ -754,7 +761,7 @@ class _ColumnarBatchRecorder(_BatchRecorder):
                     elif window < 1:
                         window = 1
                 else:
-                    window = remaining if remaining < 64 else 64
+                    window = min(remaining, SMALL_RUN_CHUNKS)
                 cs = np.cumsum(
                     np.concatenate(((credit,), durs[pos : pos + window]))
                 )

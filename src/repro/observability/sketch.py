@@ -121,7 +121,18 @@ def _interpolated(ordered: Sequence[float], q: float) -> float:
     low = int(rank)
     high = min(low + 1, len(ordered) - 1)
     frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+    return _between(ordered[low], ordered[high], frac)
+
+
+def _between(low: float, high: float, frac: float) -> float:
+    """``low`` to ``high`` at ``frac``, kept inside ``[low, high]``.
+
+    The two-product form can round one ulp past an endpoint (equal
+    endpoints included), which would put an estimate outside the values
+    it was interpolated from.
+    """
+    value = low * (1.0 - frac) + high * frac
+    return min(max(value, low), high)
 
 
 class QuantileSketch:
@@ -184,7 +195,7 @@ def _weighted_interpolated(points: Sequence[tuple[float, float]], q: float) -> f
             if high_pos <= low_pos:
                 return high_val
             frac = (rank - low_pos) / (high_pos - low_pos)
-            return low_val * (1.0 - frac) + high_val * frac
+            return _between(low_val, high_val, frac)
     return centers[-1][1]
 
 

@@ -24,14 +24,13 @@ running a slice of the CPU work concurrently with the dependency phase.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.cluster.node import NodeDown, ServerNode, WorkContext
+from repro.cluster.node import SMALL_RUN_CHUNKS, NodeDown, ServerNode, WorkContext
 from repro.cluster.rpc import RpcError
 from repro.core.profile import PlatformProfile, QueryGroupProfile
 from repro.platforms.functions import functions_for
@@ -103,9 +102,10 @@ class CpuChunker:
         }
         self._chunk_seconds = chunk_seconds
         self._rng = rng or np.random.default_rng(0)
-        self._pool_cursor: dict[str, itertools.cycle] = {
-            key: itertools.cycle(functions_for(key)) for key in self._fractions
-        }
+        #: Each category's leaf-function pool and its current rotation
+        #: position: successive chunks of a category take successive names.
+        self._pools = {key: tuple(functions_for(key)) for key in self._fractions}
+        self._offsets = {key: 0 for key in self._fractions}
 
     def chunks(self, t_cpu: float) -> list[tuple[str, float]]:
         """Interleaved chunks covering ``t_cpu`` seconds in calibrated shares.
@@ -121,16 +121,23 @@ class CpuChunker:
         pieces: list[tuple[str, float]] = []
         chunk_seconds = self._chunk_seconds
         append = pieces.append
+        pools = self._pools
+        offsets = self._offsets
         for key, fraction in self._fractions.items():
             budget = fraction * t_cpu
-            cursor = self._pool_cursor[key].__next__
+            pool = pools[key]
+            size = len(pool)
+            offset = offsets[key]
             # Same floats as the naive min()-loop: full chunks subtract
             # iteratively and the remainder is whatever is left.
             while budget > chunk_seconds:
-                append((cursor(), chunk_seconds))
+                append((pool[offset], chunk_seconds))
+                offset = (offset + 1) % size
                 budget -= chunk_seconds
             if budget > 0:
-                append((cursor(), budget))
+                append((pool[offset], budget))
+                offset = (offset + 1) % size
+            offsets[key] = offset
         self._rng.shuffle(pieces)
         return pieces
 
@@ -248,26 +255,22 @@ class ChunkBlock:
 class ColumnarCpuChunker(CpuChunker):
     """A :class:`CpuChunker` emitting :class:`ChunkBlock` columns.
 
-    Byte-identical output to the heap chunker (same RNG draws, same float
-    chains, same function rotation) with vectorized construction: full-chunk
-    runs are views into cached fill templates, the per-category chunk count
-    comes from one cumulative sum reproducing the iterative
-    ``budget -= chunk_seconds`` loop bitwise, and the shuffle permutes an
-    index column (numpy's Fisher-Yates draws are identical for an array and
-    a list of the same length).
+    Runs whose chunk-count bound falls below
+    :data:`~repro.cluster.node.SMALL_RUN_CHUNKS` are returned as the heap
+    chunker's ``list[(function, duration)]``; longer runs become blocks.
+    Byte-identical output to the heap chunker either way (same RNG draws,
+    same float chains, same function rotation).  Blocks are built
+    vectorized: full-chunk runs are views into cached fill templates, the
+    per-category chunk count comes from one cumulative sum reproducing the
+    iterative ``budget -= chunk_seconds`` loop bitwise, and the shuffle
+    permutes an index column (numpy's Fisher-Yates draws are identical for
+    an array and a list of the same length).
     """
 
     #: chunk_seconds -> readonly constant columns, grown geometrically; every
     #: full-chunk run in every query is a view into these.
     _fill_cache: dict[float, np.ndarray] = {}
     _neg_cache: dict[float, np.ndarray] = {}
-
-    def __init__(self, component_fractions, *, chunk_seconds=100e-6, rng=None):
-        super().__init__(component_fractions, chunk_seconds=chunk_seconds, rng=rng)
-        self._pools = {key: tuple(functions_for(key)) for key in self._fractions}
-        #: Current rotation position per category (mirrors the base class's
-        #: itertools.cycle cursors, which have no readable position).
-        self._offsets = {key: 0 for key in self._fractions}
 
     @staticmethod
     def _column(cache: dict, value: float, count: int) -> np.ndarray:
@@ -279,18 +282,22 @@ class ColumnarCpuChunker(CpuChunker):
             cache[value] = arr
         return arr[:count]
 
-    def chunks(self, t_cpu: float) -> ChunkBlock:
-        if t_cpu < 0:
-            raise ValueError("t_cpu must be non-negative")
+    def chunks(self, t_cpu: float) -> ChunkBlock | list[tuple[str, float]]:
         chunk_seconds = self._chunk_seconds
+        # A category emits its budget / chunk_seconds full chunks plus at
+        # most one remainder, so this bounds the run length (up to float
+        # rounding, which only picks the representation: both paths emit
+        # the same chunks).  Short runs -- nearly every OLTP query -- cost
+        # more in numpy and calendar set-up than they save, so they take the
+        # heap chunker's list and, through burn_cpu, the heap recorder.
+        if (
+            t_cpu <= 0
+            or t_cpu / chunk_seconds + len(self._fractions) < SMALL_RUN_CHUNKS
+        ):
+            return super().chunks(t_cpu)
         segments: list[tuple[int, tuple[str, ...], int]] = []
         columns: list[np.ndarray] = []
         total = 0
-        if t_cpu == 0:
-            # The heap path returns [] here *without* consuming a shuffle.
-            return ChunkBlock(
-                np.empty(0), np.empty(0, dtype=np.intp), (), 0
-            )
         for key, fraction in self._fractions.items():
             budget = fraction * t_cpu
             if budget > chunk_seconds:
@@ -411,14 +418,13 @@ class PlatformBase:
         #: acceleration studies.
         self.offload = offload
         self.offload_model = offload_model
-        #: Execution engine lane ("heap" or "columnar"); see :meth:`set_engine`.
-        self.engine = "heap"
+        #: Execution engine lane ("columnar" or the reference "heap"); see
+        #: :meth:`set_engine`.
+        self.engine = "columnar"
         #: Storage read-path lane ("batched" or "chunked"); see
         #: :meth:`set_io_mode`.
         self.io_mode = "batched"
-        self.chunker = CpuChunker(
-            profile.cpu_component_fractions, rng=np.random.default_rng(seed + 1)
-        )
+        self.chunker = self._new_chunker(np.random.default_rng(seed + 1))
         self.records: list[QueryRecord] = []
         self._group_choices = [group.name for group in profile.groups]
         self._group_weights = np.array(
@@ -453,23 +459,24 @@ class PlatformBase:
         return "query"
 
     def set_engine(self, engine: str) -> None:
-        """Select the execution engine lane: ``"heap"`` or ``"columnar"``.
+        """Select the execution engine lane: ``"columnar"`` or ``"heap"``.
 
-        Columnar swaps the chunker for :class:`ColumnarCpuChunker` (same RNG
-        stream, struct-of-arrays output) so CPU runs flow through
-        :meth:`ServerNode.compute_block` into the calendar queue of a
-        :class:`~repro.sim.ColumnarEnvironment`.  Must be called before any
-        queries run: the chunker is rebuilt on a fresh ``seed + 1`` stream,
-        which only matches the heap engine's draws if nothing was drawn yet.
+        Columnar (the default) uses :class:`ColumnarCpuChunker` (same RNG
+        stream; long runs as struct-of-arrays blocks) so long CPU runs flow
+        through :meth:`ServerNode.compute_block` into the calendar queue of
+        a :class:`~repro.sim.ColumnarEnvironment`; heap is the reference
+        lane.  Must be called before any queries run: the chunker is rebuilt
+        on a fresh ``seed + 1`` stream, which only matches the other
+        engine's draws if nothing was drawn yet.
         """
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.engine = engine
-        chunker_cls = ColumnarCpuChunker if engine == "columnar" else CpuChunker
-        self.chunker = chunker_cls(
-            self.profile.cpu_component_fractions,
-            rng=np.random.default_rng(self.seed + 1),
-        )
+        self.chunker = self._new_chunker(np.random.default_rng(self.seed + 1))
+
+    def _new_chunker(self, rng: np.random.Generator) -> CpuChunker:
+        chunker_cls = ColumnarCpuChunker if self.engine == "columnar" else CpuChunker
+        return chunker_cls(self.profile.cpu_component_fractions, rng=rng)
 
     def set_io_mode(self, io_mode: str) -> None:
         """Select the storage read-path lane: ``"batched"`` or ``"chunked"``.
@@ -499,12 +506,8 @@ class PlatformBase:
         """
         root = self.seed & 0xFFFFFFFF
         self.rng = np.random.default_rng([root, 0x5EED, index])
-        chunker_cls = (
-            ColumnarCpuChunker if self.engine == "columnar" else CpuChunker
-        )
-        self.chunker = chunker_cls(
-            self.profile.cpu_component_fractions,
-            rng=np.random.default_rng([root, 0xC41C, index]),
+        self.chunker = self._new_chunker(
+            np.random.default_rng([root, 0xC41C, index])
         )
 
     # -- execution -----------------------------------------------------------

@@ -21,7 +21,7 @@ events reproduces ``heapq`` order including ties.  ``events_processed``,
 been an individual heap entry (each live block accounts for one pending
 heap slot, mirroring the heap engine's one-entry-per-batch invariant).
 
-Engine selection is ``engine="heap" | "columnar"`` on
+Engine selection is ``engine="columnar"`` (the default) ``| "heap"`` on
 :class:`repro.api.FleetConfig` (and ``--engine`` on the CLI); the
 ``engine`` differential pair in ``repro selftest`` plus the exporter
 goldens hold the two engines byte-identical on every measurement
@@ -328,6 +328,10 @@ class ColumnarEnvironment(Environment):
     def run(self, until: float | Event | None = None) -> Any:
         queue = self._queue
         calendar = self.calendar
+        # The calendar's block list, tested directly: a Python-level
+        # __bool__ per dispatched event is measurable on runs whose CPU
+        # batches mostly take the heap lane.
+        blocks = calendar._blocks
         processed = 0
         # The drain loop allocates heavily (events, spans, numpy columns)
         # but creates almost no garbage cycles mid-run; generational GC
@@ -341,7 +345,7 @@ class ColumnarEnvironment(Environment):
             if isinstance(until, Event):
                 sentinel = until
                 while sentinel.callbacks is not None:
-                    if calendar:
+                    if blocks:
                         if queue:
                             when, count, _ = queue[0]
                         else:
@@ -383,7 +387,7 @@ class ColumnarEnvironment(Environment):
             if deadline != _INF and deadline < self._now:
                 raise ValueError(f"until={deadline} is in the past (now={self._now})")
             while True:
-                if calendar:
+                if blocks:
                     head = calendar.head()
                     # Entries at exactly the deadline still fire (heap
                     # parity: `queue[0][0] <= deadline` pops them).

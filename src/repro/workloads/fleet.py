@@ -233,7 +233,7 @@ class FleetSimulation:
         coalesce: bool = True,
         observability: ObservabilityConfig | Mapping[str, float] | bool | None = None,
         shards: int | Mapping[str, int] | None = None,
-        engine: str = "heap",
+        engine: str = "columnar",
         io_mode: str = "batched",
     ):
         from repro.platforms.common import ENGINES, IO_MODES
@@ -263,10 +263,11 @@ class FleetSimulation:
         #: Disable CPU-chunk coalescing (one event per micro-chunk instead);
         #: exists for the golden-equivalence tests and perf A/B runs.
         self.coalesce = coalesce
-        #: Event-engine lane: ``"heap"`` (the classic one-heappop-per-event
-        #: loop) or ``"columnar"`` (struct-of-arrays event blocks drained in
-        #: time-bucketed batches; byte-identical measurements, see
-        #: docs/performance.md).
+        #: Event-engine lane: ``"columnar"`` (struct-of-arrays event blocks
+        #: drained in time-bucketed batches, short CPU runs on the heap
+        #: recorder) or the reference ``"heap"`` (the classic
+        #: one-heappop-per-event loop); byte-identical measurements, see
+        #: docs/performance.md.
         self.engine = engine
         #: Storage read-path lane: ``"batched"`` (multi-chunk reads planned
         #: up front, one event per tier-contiguous leg) or ``"chunked"``

@@ -43,7 +43,7 @@ class TestParser:
         assert args.duration == 14400.0
         assert args.window == 60.0
         assert args.arrival == "diurnal"
-        assert args.engine == "heap"
+        assert args.engine == "columnar"
         assert args.jsonl is None
 
     def test_selftest_engine_unpinned_by_default(self):

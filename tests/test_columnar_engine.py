@@ -9,16 +9,25 @@ Three properties pin the scheduler to the heap engine's contract:
 * interleaving pushes with partial drains never drops or duplicates an
   entry, and the engine telemetry counts every firing exactly once.
 
+A fourth pins the columnar chunker's run-length routing to the heap
+chunker on both sides of ``SMALL_RUN_CHUNKS``, and a fleet run whose CPU
+runs fall on both sides must match the heap engine's snapshot.
+
 Strategies live in :mod:`tests.strategies` (``time_columns``,
 ``schedule_plans``) so the differential-harness tests can reuse them.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.node import SMALL_RUN_CHUNKS
+from repro.platforms.common import ChunkBlock, ColumnarCpuChunker, CpuChunker
 from repro.sim import Environment
 from repro.sim.columnar import CalendarQueue, CallBlock, ColumnarEnvironment
 from repro.sim.engine import SimulationError
+from repro.workloads.calibration import cpu_component_fractions
+from repro.workloads.fleet import FleetSimulation
 from tests.strategies import schedule_plans, time_columns
 
 import pytest
@@ -183,3 +192,81 @@ def test_add_block_rejects_past_and_exhausted_blocks():
     drained.fire_one()
     with pytest.raises(SimulationError):
         env.calendar.add(drained)
+
+
+# -- run-length routing -------------------------------------------------------
+
+_CATEGORIES = sorted(cpu_component_fractions("BigQuery"))
+_CHUNK = 100e-6
+
+
+@given(
+    weights=st.dictionaries(
+        st.sampled_from(_CATEGORIES),
+        st.floats(min_value=0.01, max_value=1.0),
+        min_size=1,
+        max_size=len(_CATEGORIES),
+    ),
+    bound=st.floats(min_value=60.0, max_value=68.0),
+    warmup=st.floats(min_value=0.0, max_value=80 * _CHUNK),
+    after=st.floats(min_value=0.0, max_value=200 * _CHUNK),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_routing_boundary_matches_heap_chunker(weights, bound, warmup, after, seed):
+    """Both sides of the cutoff emit the heap chunker's chunks exactly.
+
+    ``t_cpu`` is drawn so the chunk-count bound ``t_cpu / chunk_seconds +
+    categories`` lands in 60-68, straddling ``SMALL_RUN_CHUNKS``; a warm-up
+    call moves the rotation off zero first and a follow-up call checks the
+    rotation both chunkers leave behind.
+    """
+    t_cpu = (bound - len(weights)) * _CHUNK
+    heap = CpuChunker(weights, rng=np.random.default_rng(seed))
+    col = ColumnarCpuChunker(weights, rng=np.random.default_rng(seed))
+    assert list(col.chunks(warmup)) == heap.chunks(warmup)
+
+    expected = heap.chunks(t_cpu)
+    routed = col.chunks(t_cpu)
+    if t_cpu / _CHUNK + len(weights) < SMALL_RUN_CHUNKS:
+        assert type(routed) is list
+    else:
+        assert type(routed) is ChunkBlock
+    assert list(routed) == expected
+    assert col._rng.bit_generator.state == heap._rng.bit_generator.state
+    assert col._offsets == heap._offsets
+    assert list(col.chunks(after)) == heap.chunks(after)
+
+
+def test_default_engine_matches_heap_across_the_cutoff(monkeypatch):
+    """A BigQuery + OLTP mix on the default engine equals the heap run.
+
+    BigQuery runs are thousands of chunks (blocks); OLTP runs are a few
+    dozen (lists on the heap recorder), so the mix covers both routes.
+    """
+    routes = set()
+    chunks = ColumnarCpuChunker.chunks
+
+    def recording(self, t_cpu):
+        out = chunks(self, t_cpu)
+        routes.add(type(out))
+        return out
+
+    monkeypatch.setattr(ColumnarCpuChunker, "chunks", recording)
+    mix = dict(
+        queries={"Spanner": 6, "BigTable": 6, "BigQuery": 2},
+        seed=3,
+        bigquery_dataset_rows=1500,
+        observability=True,
+    )
+    default = FleetSimulation(**mix)
+    assert default.engine == "columnar"
+    default = default.run()
+    heap = FleetSimulation(engine="heap", **mix).run()
+
+    assert routes == {list, ChunkBlock}
+    assert default.snapshot(traces=True) == heap.snapshot(traces=True)
+    for name, platform in heap.platforms.items():
+        assert default.platforms[name].env.events_processed == (
+            platform.env.events_processed
+        )

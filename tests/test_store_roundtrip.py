@@ -106,7 +106,7 @@ class TestStoredSurfaces:
         run = provider.run(run_id)
         assert run.kind == "fleet"
         assert run.seed == SMALL.seed
-        assert run.engine == "heap"
+        assert run.engine == "columnar"
 
     def test_sample_rows_preserve_profiler_order(self, stored):
         live, provider, run_id = stored

@@ -139,6 +139,17 @@ class TestToleranceAndBounds:
         for q in DEFAULT_QUANTILES:
             assert live[0] <= sketch.quantile(q) <= live[-1]
 
+    def test_equal_neighbours_do_not_round_past_the_range(self):
+        # Interpolating between two equal values used to land one ulp
+        # above them (0.9 quantile of this stream).
+        top = 934.9398071556412
+        sketch = WindowedQuantileSketch(1.0, buckets=1)
+        for value in (1.0, top, top):
+            sketch.observe(value, 0.0)
+        for q in DEFAULT_QUANTILES:
+            assert 1.0 <= sketch.quantile(q) <= top
+        assert 1.0 <= _interpolated([1.0, top, top], 0.9) <= top
+
     def test_statistical_tolerance_on_large_sample(self):
         # 4000 gaussian observations across a long stream: the rolling
         # estimate over the trailing window must land near the true
