@@ -3,20 +3,39 @@
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import itertools
 import math
-from typing import Any, Iterator, Sequence
+import struct
+from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = ["BloomFilter", "SSTable"]
+
+# Distinct keys whose digests stay cached.  A default BigTable store draws
+# its keys from 4 tablets x 4096 rows, so this holds all of them (about
+# 3 MiB when full); compactions re-hash the same keys over and over.
+DIGEST_CACHE_SIZE = 1 << 14
+
+_HASH_WORDS = struct.Struct("<7I")
+
+
+@functools.lru_cache(maxsize=DIGEST_CACHE_SIZE)
+def _key_digest(key: str) -> bytes:
+    return hashlib.sha256(key.encode()).digest()
 
 
 class BloomFilter:
     """A classic bloom filter over string keys.
 
     Sized for a target false-positive rate: ``m = -n ln(p) / ln(2)^2`` bits
-    and ``k = (m/n) ln(2)`` hash functions, with hashes derived from
-    non-overlapping slices of a SHA-256 digest.
+    and ``k = (m/n) ln(2)`` hash functions.  Hashes come from the key's
+    SHA-256 digest read as little-endian 32-bit words: hash ``i`` is word
+    ``i % 7`` (bytes ``4*(i % 7)`` to ``4*(i % 7) + 3``) modulo the bit
+    count.  Only bytes 0-27 are used, and hashes past the 7th reuse the
+    same words.
     """
 
     def __init__(self, expected_items: int, false_positive_rate: float = 0.01):
@@ -30,22 +49,27 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
         self.items_added = 0
 
-    def _positions(self, key: str) -> Iterator[int]:
-        digest = hashlib.sha256(key.encode()).digest()
-        for i in range(self.num_hashes):
-            chunk = digest[(4 * i) % 28 : (4 * i) % 28 + 4]
-            yield int.from_bytes(chunk, "little") % self.num_bits
+    def add_many(self, keys: Iterable[str]) -> None:
+        """Add every key in one pass: one row of digest words per key."""
+        digests = b"".join(map(_key_digest, keys))
+        words = np.frombuffer(digests, "<u4").reshape(-1, 8)
+        columns = np.arange(self.num_hashes) % 7
+        positions = (words[:, columns].astype(np.int64) % self.num_bits).ravel()
+        masks = (1 << (positions & 7)).astype(np.uint8)
+        np.bitwise_or.at(np.frombuffer(self._bits, np.uint8), positions >> 3, masks)
+        self.items_added += len(words)
 
     def add(self, key: str) -> None:
-        for position in self._positions(key):
-            self._bits[position // 8] |= 1 << (position % 8)
-        self.items_added += 1
+        self.add_many((key,))
 
     def might_contain(self, key: str) -> bool:
-        return all(
-            self._bits[position // 8] & (1 << (position % 8))
-            for position in self._positions(key)
-        )
+        words = _HASH_WORDS.unpack_from(_key_digest(key))
+        bits, num_bits = self._bits, self.num_bits
+        for i in range(self.num_hashes):
+            position = words[i % 7] % num_bits
+            if not bits[position >> 3] & (1 << (position & 7)):
+                return False
+        return True
 
 
 class SSTable:
@@ -80,8 +104,7 @@ class SSTable:
         self._keys = keys
         self._values = [value for _, value in entries]
         self.bloom = BloomFilter(expected_items=len(keys))
-        for key in keys:
-            self.bloom.add(key)
+        self.bloom.add_many(keys)
         self.size_bytes = sum(len(k) + value_bytes for k in keys)
 
     def __len__(self) -> int:

@@ -196,7 +196,12 @@ class BigTableStore(PlatformBase):
             candidates = [s for s in tablet.sstables if self.dfs.exists(s.path)]
             if not candidates:
                 return None
-            run = candidates[int(self.rng.integers(len(candidates)))]
+            # integers(1) is always 0 and leaves the generator's state alone
+            # (pinned by a test), so a lone candidate skips the draw.
+            if len(candidates) == 1:
+                run = candidates[0]
+            else:
+                run = candidates[int(self.rng.integers(len(candidates)))]
             meta = self.dfs.meta(run.path)
             target = min(remaining * 0.8, 1e-3)
             nbytes = max(4096.0, min(target / self._io_rate, meta.size))

@@ -1,5 +1,6 @@
 """Tests for BigTable's LSM machinery and the platform simulator."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,10 @@ class TestBloomFilter:
         for key in keys:
             bloom.add(key)
         assert all(bloom.might_contain(key) for key in keys)
+        batched = BloomFilter(expected_items=100)
+        batched.add_many(keys)
+        assert batched._bits == bloom._bits
+        assert batched.items_added == bloom.items_added == 100
 
     def test_false_positive_rate_reasonable(self):
         bloom = BloomFilter(expected_items=500, false_positive_rate=0.01)
@@ -308,6 +313,20 @@ class TestBigTablePlatform:
         broad = profiler.cycle_breakdown("BigTable").broad_fractions()
         # Figure 3: BigTable's datacenter-tax share is the largest.
         assert broad[taxonomy.BroadCategory.DATACENTER_TAX] == max(broad.values())
+
+    @pytest.mark.parametrize("seed", [11, [3, 0x5EED, 2]])
+    def test_single_choice_draw_leaves_the_generator_alone(self, seed):
+        """The IO op factory skips ``rng.integers(1)`` when a tablet has one
+        SSTable.  That is exact only while numpy returns 0 for it without
+        advancing the bit generator; a numpy that changes this must fail
+        here rather than silently shift measurements."""
+        rng = np.random.default_rng(seed)
+        untouched = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        assert rng.integers(1) == 0
+        assert rng.bit_generator.state == state
+        assert rng.integers(1 << 30, size=8).tolist() == untouched.integers(1 << 30, size=8).tolist()
+        assert rng.uniform() == untouched.uniform()
 
     def test_compactions_happen_during_service(self):
         env = Environment()
