@@ -8,22 +8,15 @@ wall-clock is machine-dependent, so the hard assertions here are only on
 the *measured numbers* (sample count, query count) and on the scheduler's
 shape (straggler bound, schema) -- never on absolute time.
 
-Six execution modes are timed:
+Five execution modes are timed:
 
 * ``sequential`` -- the legacy single-process driver pinned to the
-  reference binary-heap event engine (``engine="heap"``, batched IO legs):
-  the reference every same-run ratio below divides by;
+  reference binary-heap event engine (``engine="heap"``): the reference
+  every same-run ratio below divides by;
 * ``sequential_columnar`` -- the same driver on the batched columnar
   calendar-queue engine (``engine="columnar"``, the shipping default):
   the measurement surface is asserted byte-identical to the heap run,
   only wall-clock may differ;
-* ``sequential_columnar_chunked`` -- the columnar engine with the
-  per-chunk storage reader (``io_mode="chunked"``): the pre-batching
-  reference leg.  Its events-processed count is deterministically
-  *higher* than the batched legs' (one event per chunk instead of one
-  per tier-contiguous leg), which the report records as an explicit
-  per-leg delta; every measurement is asserted identical with only the
-  events gauge masked;
 * ``parallel_platform`` -- the old platform-granularity fan-out (one
   worker per platform), kept as the straggler-problem reference: its
   wall-clock is bounded by the BigQuery shard;
@@ -34,8 +27,8 @@ Six execution modes are timed:
   noise, not a scheduler measurement;
 * ``observed`` -- the sequential run with the metrics registry on.
 
-Every leg except the two ``sequential_columnar*`` legs is pinned to the
-heap engine, so its ratio against ``sequential`` compares like with like.
+Every leg except ``sequential_columnar`` is pinned to the heap engine,
+so its ratio against ``sequential`` compares like with like.
 
 The report schema is guarded: every field written here must already exist
 in the committed ``BENCH_fleet.json``, so schema drift (new fields,
@@ -53,7 +46,6 @@ from pathlib import Path
 
 from repro.api import FleetConfig, Profile, Telemetry, run_fleet
 from repro.testing.diff import diff_snapshots, snapshot
-from repro.testing.differential import _mask_engine_events
 from repro.workloads.calibration import PLATFORMS
 from repro.workloads.fleet import FleetSimulation
 from repro.workloads.parallel import run_parallel
@@ -140,9 +132,6 @@ def test_fleet_hot_path_perf_report():
     columnar, col_wall = _timed_run(
         FleetSimulation(queries=QUERIES, seed=SEED, engine="columnar")
     )
-    chunked, chunked_wall = _timed_run(
-        FleetSimulation(queries=QUERIES, seed=SEED, engine="columnar", io_mode="chunked")
-    )
     platform_sharded, pp_wall = _timed_run_parallel_platform()
 
     ws_start = time.perf_counter()
@@ -180,21 +169,6 @@ def test_fleet_hot_path_perf_report():
         columnar.platforms[name].env.events_processed for name in PLATFORMS
     )
     assert col_events == events
-    # IO-batching parity: the per-chunk reader leg must agree on every
-    # measurement, with only the events-processed gauge masked -- and the
-    # batched legs must deterministically process *fewer* events (one per
-    # tier-contiguous leg instead of one per chunk).
-    assert not diff_snapshots(
-        _mask_engine_events(snapshot(columnar)),
-        _mask_engine_events(snapshot(chunked)),
-    )
-    chunked_events = sum(
-        chunked.platforms[name].env.events_processed for name in PLATFORMS
-    )
-    assert col_events < chunked_events, (
-        "batched IO must coalesce per-chunk events into per-leg events"
-    )
-    events_delta = col_events - chunked_events
     assert queries_served == QUERIES * len(PLATFORMS)
     assert (
         sum(p.queries_served for p in work_stealing.platforms.values())
@@ -231,43 +205,24 @@ def test_fleet_hot_path_perf_report():
         "host": {"cpus": os.cpu_count()},
         "sequential": {
             "engine": "heap",
-            "io_mode": "batched",
             "wall_seconds": round(seq_wall, 3),
             "events_processed": events,
             "events_per_second": round(events / seq_wall, 1),
-            "events_delta_vs_chunked": events_delta,
             "samples": samples,
             "samples_per_second": round(samples / seq_wall, 1),
             "speedup_vs_baseline": round(BASELINE["wall_seconds"] / seq_wall, 2),
         },
         "sequential_columnar": {
             "engine": "columnar",
-            "io_mode": "batched",
             "wall_seconds": round(col_wall, 3),
             "events_processed": col_events,
             "events_per_second": round(col_events / col_wall, 1),
-            "events_delta_vs_chunked": events_delta,
             "samples": columnar.profiler.sample_count(),
             "samples_per_second": round(samples / col_wall, 1),
             "speedup_vs_heap": round(seq_wall / col_wall, 2),
-            "speedup_vs_chunked_io": round(chunked_wall / col_wall, 2),
             "speedup_vs_baseline": round(BASELINE["wall_seconds"] / col_wall, 2),
-            "note": "batched IO legs on the columnar calendar-queue engine; "
-            "snapshot asserted byte-identical to the heap run above, and to "
-            "the per-chunk reader leg below with only the events gauge "
-            "masked -- events_delta_vs_chunked is the per-chunk timeouts "
-            "the read planner coalesced away",
-        },
-        "sequential_columnar_chunked": {
-            "engine": "columnar",
-            "io_mode": "chunked",
-            "wall_seconds": round(chunked_wall, 3),
-            "events_processed": chunked_events,
-            "events_per_second": round(chunked_events / chunked_wall, 1),
-            "samples": chunked.profiler.sample_count(),
-            "samples_per_second": round(samples / chunked_wall, 1),
-            "note": "pre-batching reference: the per-chunk storage reader "
-            "(one Timeout event and one generator resume per chunk)",
+            "note": "the columnar calendar-queue engine; snapshot asserted "
+            "byte-identical to the heap run above",
         },
         "parallel_platform": {
             "wall_seconds": round(pp_wall, 3),

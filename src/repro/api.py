@@ -147,13 +147,6 @@ class FleetConfig:
     #: differential pair in ``repro selftest`` and the exporter goldens
     #: enforce it.
     engine: str = "columnar"
-    #: Storage read-path lane: ``"batched"`` plans each multi-chunk DFS
-    #: read up front and schedules one event per tier-contiguous leg (one
-    #: generator resume per read); ``"chunked"`` is the legacy
-    #: one-Timeout-per-chunk reader.  Measurements are byte-identical --
-    #: the ``batched-io`` differential pair enforces it; only the event
-    #: count differs.  Chaos-bearing platforms are pinned to ``"chunked"``.
-    io_mode: str = "batched"
 
     def with_overrides(self, **overrides) -> "FleetConfig":
         """A copy with the given fields replaced (validates field names)."""

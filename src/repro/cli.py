@@ -160,10 +160,6 @@ def _add_axis_flags(
     )
 
 
-# Backwards-compatible alias used by older scripts importing the helper.
-_add_scheduler_flags = _add_axis_flags
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -186,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(identical results, lower wall-clock; auto-falls back to "
         "sequential on small hosts/workloads)",
     )
-    _add_scheduler_flags(fleet)
+    _add_axis_flags(fleet)
 
     top = sub.add_parser(
         "top",
@@ -237,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.05,
         help="--follow: mean arrivals per simulated second, fleet-wide",
     )
-    _add_scheduler_flags(top)
+    _add_axis_flags(top)
 
     export = sub.add_parser(
         "export",
@@ -265,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel workers (ignored for jsonl: span trees do not cross "
         "the process boundary)",
     )
-    _add_scheduler_flags(export)
+    _add_axis_flags(export)
     export.add_argument(
         "--out", default="-", help="output path, or '-' for stdout (default)"
     )

@@ -75,7 +75,8 @@ class ChaosController:
 
         Attaches every cluster node (by node name), the cluster's network
         fabric, and each DFS storage server's tiered store as
-        ``storage-<index>``.
+        ``storage-<index>``, and records itself as the DFS's
+        ``fault_controller`` so reads take the per-chunk path.
         """
         controller = cls(
             platform.env,
@@ -90,10 +91,7 @@ class ChaosController:
         if dfs is not None:
             for server in dfs.servers:
                 controller.attach_store(f"storage-{server.index}", server.store)
-            # Pin the per-chunk read path: batched read plans resolve
-            # replica, tier, and fabric state at plan time and would skip
-            # over faults this controller injects mid-read.
-            dfs.io_mode = "chunked"
+            dfs.fault_controller = controller
         return controller
 
     # -- lifecycle ----------------------------------------------------------

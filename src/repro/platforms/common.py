@@ -37,7 +37,6 @@ from repro.platforms.functions import functions_for
 from repro.profiling.dapper import SpanKind, Tracer
 from repro.profiling.gwp import FleetProfiler
 from repro.sim import Environment, Interrupt, all_of
-from repro.storage.reader import IO_MODES as _IO_MODES
 
 __all__ = [
     "QueryPlan",
@@ -50,13 +49,6 @@ __all__ = [
 
 #: Valid values for ``PlatformBase.set_engine`` / ``FleetConfig.engine``.
 ENGINES = ("heap", "columnar")
-
-#: Valid values for ``PlatformBase.set_io_mode`` / ``FleetConfig.io_mode``:
-#: ``"batched"`` resolves multi-chunk DFS reads into tier-contiguous legs
-#: up front (one event per leg, one resume per read); ``"chunked"`` is the
-#: legacy one-Timeout-per-chunk reader.  Measurements are identical either
-#: way -- the ``batched-io`` differential pair enforces it.
-IO_MODES = _IO_MODES
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,9 +413,6 @@ class PlatformBase:
         #: Execution engine lane ("columnar" or the reference "heap"); see
         #: :meth:`set_engine`.
         self.engine = "columnar"
-        #: Storage read-path lane ("batched" or "chunked"); see
-        #: :meth:`set_io_mode`.
-        self.io_mode = "batched"
         self.chunker = self._new_chunker(np.random.default_rng(seed + 1))
         self.records: list[QueryRecord] = []
         self._group_choices = [group.name for group in profile.groups]
@@ -477,21 +466,6 @@ class PlatformBase:
     def _new_chunker(self, rng: np.random.Generator) -> CpuChunker:
         chunker_cls = ColumnarCpuChunker if self.engine == "columnar" else CpuChunker
         return chunker_cls(self.profile.cpu_component_fractions, rng=rng)
-
-    def set_io_mode(self, io_mode: str) -> None:
-        """Select the storage read-path lane: ``"batched"`` or ``"chunked"``.
-
-        Forwards to the platform's DFS (every platform builds one before
-        this is called from ``FleetSimulation.build_platform``).  Chaos
-        wiring pins the DFS back to ``"chunked"`` regardless of this
-        setting -- batched plans must not race mid-read fault injection.
-        """
-        if io_mode not in IO_MODES:
-            raise ValueError(f"io_mode must be one of {IO_MODES}, got {io_mode!r}")
-        self.io_mode = io_mode
-        dfs = getattr(self, "dfs", None)
-        if dfs is not None:
-            dfs.io_mode = io_mode
 
     def seed_query_streams(self, index: int) -> None:
         """Rebase the plan and chunker RNGs onto per-query streams.

@@ -63,6 +63,13 @@ class StorageServer:
 class DistributedFileSystem:
     """Chunked, replicated files over a set of storage servers."""
 
+    #: The :class:`~repro.faults.controller.ChaosController` wired to this
+    #: file system, if any (recorded by ``ChaosController.for_platform``).
+    #: While one is attached every read takes the per-chunk path: a batched
+    #: plan resolves replica, tier, and fabric state at plan time and would
+    #: skip over faults injected mid-read.
+    fault_controller = None
+
     def __init__(
         self,
         env: Environment,
@@ -101,13 +108,6 @@ class DistributedFileSystem:
         #: Bumped whenever ``_replica_order`` is cleared, so in-flight reads
         #: holding a per-reader sub-dict can notice mid-read failovers.
         self._replica_gen = 0
-        #: Read-path lane: ``"batched"`` plans a whole multi-chunk read up
-        #: front and schedules one event per tier-contiguous leg (see
-        #: :mod:`repro.storage.reader`); ``"chunked"`` is the legacy
-        #: one-Timeout-per-chunk reader.  Chaos controllers pin this to
-        #: ``"chunked"`` because batched plans resolve replica/tier/fabric
-        #: state at plan time and must not race mid-read fault injection.
-        self.io_mode = "batched"
 
     # -- failure injection -----------------------------------------------------
 
@@ -238,13 +238,12 @@ class DistributedFileSystem:
         time), recorded as one IO span.  Chunks are fetched sequentially,
         modeling a streaming read.
 
-        In ``"batched"`` mode (the default) the whole read is resolved up
-        front by :func:`repro.storage.reader.plan_read` and executes as one
-        scheduled event per tier-contiguous leg plus a single generator
-        resume, on timestamps bit-identical to the per-chunk reader's.
-        Reads that could race mid-read state changes -- a nonempty down-set,
-        or ``io_mode`` pinned to ``"chunked"`` by an attached chaos
-        controller -- take the legacy per-chunk path.
+        The whole read is normally resolved up front by
+        :func:`repro.storage.reader.plan_read` and executes as one scheduled
+        event per tier-contiguous leg plus a single generator resume, on
+        timestamps bit-identical to the per-chunk reader's.  Reads that
+        could race mid-read state changes -- a nonempty down-set, or an
+        attached :attr:`fault_controller` -- take the per-chunk path.
         """
         meta = self.meta(path)
         if size is None:
@@ -253,7 +252,7 @@ class DistributedFileSystem:
             raise ValueError(
                 f"range [{offset}, {offset + size}) outside file of {meta.size} bytes"
             )
-        if self.io_mode != "batched" or self._down:
+        if self._down or self.fault_controller is not None:
             return (
                 yield from self._read_chunked(ctx, reader, path, meta, offset, size)
             )
@@ -305,11 +304,10 @@ class DistributedFileSystem:
         offset: float,
         size: float,
     ) -> Generator:
-        """The legacy per-chunk reader: one Timeout yield per chunk.
+        """The per-chunk reader: one Timeout yield per chunk.
 
-        Kept verbatim as the fallback lane for reads that can interleave
-        with fault injection, and as the ``batched-io`` differential pair's
-        reference leg.
+        The path for reads that can interleave with fault injection, and
+        the planner's reference oracle in ``tests/test_read_planner.py``.
         """
         env = self.env
         round_trip_time = self.fabric.round_trip_time

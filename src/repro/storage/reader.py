@@ -12,7 +12,9 @@ small number of coalesced events -- one *leg* per contiguous run of chunks
 served by the same device tier -- and exactly one generator resume, on the
 final leg's timestamp.
 
-Parity contract (guarded by the ``batched-io`` differential pair):
+Parity contract (guarded by ``tests/test_read_planner.py``: chunk-level
+properties against the per-chunk reader, and ``TestFleetParity``, which
+runs whole fleets both ways and compares their traced snapshots):
 
 * **Timing** -- the plan accumulates ``t = t + (device_time +
   network_time)`` per chunk, the same operand order as the per-chunk
@@ -29,8 +31,8 @@ Parity contract (guarded by the ``batched-io`` differential pair):
   granularity.
 * **Faults** -- a chunk whose every replica is unreachable ends the plan
   early (``partitioned`` carries the chunk id); the caller reproduces the
-  per-chunk reader's error span and exception.  Reads overlapping a
-  *changing* down-set or an attached chaos controller never reach the
+  per-chunk reader's error span and exception.  Reads issued while a
+  server is down or a chaos controller is attached never reach the
   planner at all: the DFS degrades those to the per-chunk path.
 """
 
@@ -47,9 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.dfs import DistributedFileSystem, FileMeta
 
 __all__ = ["ReadLeg", "ReadPlan", "plan_read"]
-
-#: Valid values for the DFS/platform/fleet ``io_mode`` axis.
-IO_MODES = ("batched", "chunked")
 
 
 class ReadLeg:

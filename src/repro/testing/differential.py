@@ -1,6 +1,6 @@
 """Differential runner: one config, every mode pair that must agree.
 
-Nine execution-mode axes must not change a single measurement:
+Eight execution-mode axes must not change a single measurement:
 
 * ``parallel`` -- work-stealing worker processes with a deterministic
   merge vs the sequential driver (same shard geometry on both legs);
@@ -13,12 +13,6 @@ Nine execution-mode axes must not change a single measurement:
 * ``engine`` -- the columnar calendar-queue event engine vs the
   reference binary heap (the two engines must agree on *everything*,
   including events processed -- they drain the identical event set);
-* ``batched-io`` -- the batched storage read planner (one coalesced
-  leg per contiguous device tier, one generator resume per read) vs
-  the per-chunk reader: samples, spans, tier hit counters, and traffic
-  counters must be byte-identical; only the events-processed
-  bookkeeping may differ (processing fewer events is the point, as
-  with coalescing);
 * ``replay`` -- the same config run twice: seed determinism, and (when
   the config carries fault plans) the chaos-replay ledger against the
   original run's ledger;
@@ -54,7 +48,6 @@ MODE_PAIRS = (
     "observability",
     "coalescing",
     "engine",
-    "batched-io",
     "replay",
     "service",
     "store",
@@ -187,21 +180,6 @@ class DifferentialRunner:
                 flipped = "heap" if config.engine == "columnar" else "columnar"
                 results.append(
                     self._compare("engine", base_snap, config, engine=flipped)
-                )
-            elif pair == "batched-io":
-                # Flip the storage io_mode axis: the batched planner must
-                # reproduce the per-chunk reader's entire measurement
-                # surface.  The events-processed gauge is masked like the
-                # coalescing pair's -- fewer events is the optimization.
-                flipped = "chunked" if config.io_mode == "batched" else "batched"
-                results.append(
-                    self._compare(
-                        "batched-io",
-                        base_snap,
-                        config,
-                        transform=_mask_engine_events,
-                        io_mode=flipped,
-                    )
                 )
             elif pair == "replay":
                 results.append(self._compare("replay", base_snap, config))

@@ -5,11 +5,10 @@ randomized-but-reproducible :class:`~repro.api.FleetConfig`: platform
 mixes (including single-platform and zero-query platforms), per-run
 seeds, trace sampling rates, counter jitter, BigQuery dataset sizing,
 observability on/off/per-platform scrape periods, parallel worker
-counts, seeded fault plans, the event engine (heap vs columnar), and the
-storage io mode (batched read plans vs per-chunk).  Config ``i`` depends only on the
-fuzzer seed and ``i`` -- never on how many configs were generated
-before it -- so a failing index from a selftest log regenerates the
-exact config without replaying the run.
+counts, seeded fault plans, and the event engine (heap vs columnar).
+Config ``i`` depends only on the fuzzer seed and ``i`` -- never on how
+many configs were generated before it -- so a failing index from a
+selftest log regenerates the exact config without replaying the run.
 """
 
 from __future__ import annotations
@@ -114,10 +113,6 @@ class FleetConfigFuzzer:
             shards=(None, None, 1, 2, 3, "auto")[int(rng.integers(6))],
             # Drawn after shards for the same prefix-stability reason.
             engine=("heap", "columnar")[int(rng.integers(2))],
-            # Drawn last (after engine), weighted toward the batched
-            # default the fleet ships with; chaos configs pin their DFS
-            # back to chunked at build time regardless of this draw.
-            io_mode=("batched", "batched", "chunked")[int(rng.integers(3))],
         )
 
     def _fault_plans(
@@ -180,5 +175,4 @@ def config_to_jsonable(config) -> dict[str, Any]:
         "observability": observability,
         "fault_plans": fault_plans,
         "engine": config.engine,
-        "io_mode": config.io_mode,
     }

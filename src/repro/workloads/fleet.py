@@ -234,18 +234,13 @@ class FleetSimulation:
         observability: ObservabilityConfig | Mapping[str, float] | bool | None = None,
         shards: int | Mapping[str, int] | None = None,
         engine: str = "columnar",
-        io_mode: str = "batched",
     ):
-        from repro.platforms.common import ENGINES, IO_MODES
+        from repro.platforms.common import ENGINES
         from repro.workloads.shards import validate_shards
 
         if engine not in ENGINES:
             raise ConfigError(
                 f"engine must be one of {ENGINES}, got {engine!r}"
-            )
-        if io_mode not in IO_MODES:
-            raise ConfigError(
-                f"io_mode must be one of {IO_MODES}, got {io_mode!r}"
             )
         self.queries = normalize_queries(queries)
         #: Query-granular sharding: ``None`` (default) keeps the legacy
@@ -269,12 +264,6 @@ class FleetSimulation:
         #: one-heappop-per-event loop); byte-identical measurements, see
         #: docs/performance.md.
         self.engine = engine
-        #: Storage read-path lane: ``"batched"`` (multi-chunk reads planned
-        #: up front, one event per tier-contiguous leg) or ``"chunked"``
-        #: (the legacy one-Timeout-per-chunk reader).  Platforms with a
-        #: fault plan are pinned to ``"chunked"`` regardless -- batched
-        #: plans must not race mid-read fault injection.
-        self.io_mode = io_mode
         #: Optional chaos: platform name -> FaultPlan replayed into that
         #: platform's environment while it serves its query stream.
         self.fault_plans = dict(fault_plans or {})
@@ -304,7 +293,6 @@ class FleetSimulation:
             "shards": self.shards if not isinstance(self.shards, dict)
             else dict(self.shards),
             "engine": self.engine,
-            "io_mode": self.io_mode,
         }
 
     def fleet_profiler(self) -> FleetProfiler:
@@ -362,11 +350,6 @@ class FleetSimulation:
             raise ValueError(f"unknown platform {name!r}")
         platform.coalesce = self.coalesce
         platform.set_engine(self.engine)
-        # Chaos-bearing platforms stay on the per-chunk reader: a batched
-        # plan resolves replica, tier, and fabric state at plan time, and
-        # must not skip over a fault injected mid-read.
-        io_mode = "chunked" if name in self.fault_plans else self.io_mode
-        platform.set_io_mode(io_mode)
         return platform
 
     def start_observer(

@@ -47,7 +47,6 @@ from repro.workloads.shards import (
     ChaosSummary,
     PlatformSummary,
     SchedulerStats,
-    ShardResult,
     ShardSpec,
     SimClock,
     estimated_cost,
@@ -67,10 +66,6 @@ __all__ = [
     "run_parallel",
     "sweep_seeds",
 ]
-
-#: Back-compat alias: one job's results were previously a per-platform
-#: ``PlatformShard``; they are now the per-range :class:`ShardResult`.
-PlatformShard = ShardResult
 
 
 # -- scheduling ---------------------------------------------------------------

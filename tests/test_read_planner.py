@@ -6,14 +6,19 @@ fabric traffic counters -- only the event schedule (one leg per contiguous
 tier instead of one timeout per chunk) may differ.  Floats make "same"
 a sharp claim: chunk boundaries are accumulated sums, service times are
 latency + bytes/bandwidth chains, and the differ compares them exactly.
-So these properties drive two *identical worlds* through the two io
-modes and assert ``==`` on every surface, never ``approx``.
+So these properties drive two *identical worlds* through the two
+readers and assert ``==`` on every surface, never ``approx``.  The DFS
+picks the per-chunk reader while a fault controller is attached, so the
+tests force it by setting ``fault_controller`` the way
+``ChaosController.for_platform`` does.  :class:`TestFleetParity` lifts the
+same contract to whole fleet runs.
 
 Also pinned here: the degrade path.  A read issued while any storage
 server is marked down must take the per-chunk lane (the planner resolves
 replica order at plan time and would race the down-set), and a read
 *already in flight* when a server fails keeps its plan -- the modeled
 stream was committed when it started -- while every later read degrades.
+A fleet platform with a fault plan never reaches the planner at all.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from repro.cluster.network import (
     Topology,
     TopologySelector,
 )
+from repro.api import run_fleet
 from repro.cluster.node import WorkContext
+from repro.faults import FaultPlan
 from repro.profiling.dapper import SpanKind, Trace
 from repro.sim import Environment
 from repro.storage import (
@@ -38,6 +45,11 @@ from repro.storage import (
 )
 from repro.storage.reader import plan_read
 from repro.storage.tier import TierStats
+from repro.testing.diff import diff_snapshots, snapshot
+from repro.testing.differential import _mask_engine_events
+from repro.testing.fuzzer import FleetConfigFuzzer
+from repro.workloads.calibration import BIGQUERY, BIGTABLE, SPANNER
+from repro.workloads.fleet import FleetSimulation
 
 KB = 1024.0
 MB = 1024.0 * KB
@@ -67,8 +79,13 @@ def _world(chunk_kb: float, file_kb: float, servers: int = 4):
     return env, dfs
 
 
-def _read(env, dfs, offset: float, size: float, io_mode: str):
-    dfs.io_mode = io_mode
+#: Stands in for an attached chaos controller: the DFS only checks that
+#: ``fault_controller`` is set, so any object forces the per-chunk reader.
+FORCE_PER_CHUNK = object()
+
+
+def _read(env, dfs, offset: float, size: float, per_chunk: bool):
+    dfs.fault_controller = FORCE_PER_CHUNK if per_chunk else None
     trace = Trace(0, "q", env.now)
     ctx = WorkContext(platform="x", trace=trace)
     reader = Topology("us", "us-c0", "r0")
@@ -131,8 +148,8 @@ class TestBatchedChunkedParity:
         env_a, dfs_a = _world(chunk_kb, file_kb)
         env_b, dfs_b = _world(chunk_kb, file_kb)
         for _ in range(repeats):  # repeats exercise warm-cache plans too
-            served_a, trace_a = _read(env_a, dfs_a, offset, size, "batched")
-            served_b, trace_b = _read(env_b, dfs_b, offset, size, "chunked")
+            served_a, trace_a = _read(env_a, dfs_a, offset, size, False)
+            served_b, trace_b = _read(env_b, dfs_b, offset, size, True)
             assert served_a == served_b
             assert _io_spans(trace_a) == _io_spans(trace_b)
         _assert_worlds_identical(env_a, dfs_a, env_b, dfs_b)
@@ -145,19 +162,19 @@ class TestBatchedChunkedParity:
     )
     def test_rack_partition_failover_parity(self, chunk_kb, file_kb, byte_range):
         # Rack r1 unreachable from the r0 reader: every chunk with an r1
-        # closest replica fails over, in both modes, with identical
+        # closest replica fails over, on both readers, with identical
         # failover counts, drop counters, and timing.
         file_size = file_kb * KB
         lo, hi = sorted(byte_range)
         offset = file_size * (lo / 10_000.0)
         size = file_size * (hi / 10_000.0) - offset
         worlds = []
-        for io_mode in ("batched", "chunked"):
+        for per_chunk in (False, True):
             env, dfs = _world(chunk_kb, file_kb)
             dfs.fabric.partition(
                 TopologySelector(rack="r0"), TopologySelector(rack="r1")
             )
-            served, trace = _read(env, dfs, offset, size, io_mode)
+            served, trace = _read(env, dfs, offset, size, per_chunk)
             worlds.append((env, dfs, served, trace))
         (env_a, dfs_a, served_a, trace_a), (env_b, dfs_b, served_b, trace_b) = worlds
         assert served_a == served_b
@@ -165,12 +182,12 @@ class TestBatchedChunkedParity:
         _assert_worlds_identical(env_a, dfs_a, env_b, dfs_b)
 
     def test_total_partition_raises_identically(self):
-        # Every route cut: both modes must raise, leave time at the same
+        # Every route cut: both readers must raise, leave time at the same
         # instant, and record the same error span.
         results = []
-        for io_mode in ("batched", "chunked"):
+        for per_chunk in (False, True):
             env, dfs = _world(256.0, 1024.0)
-            dfs.io_mode = io_mode
+            dfs.fault_controller = FORCE_PER_CHUNK if per_chunk else None
             dfs.fabric.partition(TopologySelector(), TopologySelector())
             trace = Trace(0, "q", env.now)
             ctx = WorkContext(platform="x", trace=trace)
@@ -343,3 +360,82 @@ class TestDownSetDegrade:
         assert {name for name, _, _ in outcomes} == {"first", "second"}
         assert len(calls) == 1 and calls[0] == 0.0
         assert all(served == pytest.approx(4096.0 * KB) for _, _, served in outcomes)
+
+
+def _count_plans(monkeypatch) -> list:
+    """Route ``plan_read`` through a wrapper that logs each call's DFS."""
+    calls = []
+
+    def counted(dfs, *args, **kwargs):
+        calls.append(dfs)
+        return plan_read(dfs, *args, **kwargs)
+
+    monkeypatch.setattr("repro.storage.dfs.plan_read", counted)
+    return calls
+
+
+#: The ROADMAP reference workload: 60 queries per platform, seed 0.
+REFERENCE = {"queries": 60, "seed": 0, "engine": "columnar"}
+#: Fuzzed selftest configs (fuzzer seed 0) spanning both engines, observed
+#: and dark runs, and sharded and unsharded runs; index 10 adds a fault
+#: plan on BigTable, whose DFS then takes the per-chunk reader both times.
+FUZZ_INDICES = (0, 6, 10, 18, 20, 24, 33, 39)
+
+
+class TestFleetParity:
+    """Whole fleets read through the planner and through the per-chunk
+    reader must agree on every measurement surface, traces included.
+
+    Only the events-processed gauge is masked: the planner exists to
+    schedule one event per tier-contiguous leg instead of one per chunk.
+    """
+
+    def _assert_parity(self, config, monkeypatch):
+        calls = _count_plans(monkeypatch)
+        planned = run_fleet(config)
+        assert calls, "the shipped run never reached the planner"
+        monkeypatch.setattr(
+            DistributedFileSystem, "fault_controller", FORCE_PER_CHUNK
+        )
+        calls.clear()
+        per_chunk = run_fleet(config)
+        assert not calls, "the forced run still reached the planner"
+        left = _mask_engine_events(snapshot(planned, traces=True))
+        right = _mask_engine_events(snapshot(per_chunk, traces=True))
+        assert left == right, diff_snapshots(left, right)[:5]
+
+    def test_reference_workload(self, monkeypatch):
+        self._assert_parity(REFERENCE, monkeypatch)
+
+    @pytest.mark.parametrize("index", FUZZ_INDICES)
+    def test_fuzzed_config(self, index, monkeypatch):
+        self._assert_parity(FleetConfigFuzzer(0).config(index), monkeypatch)
+
+    def test_fuzzed_configs_cover_every_axis(self):
+        configs = [FleetConfigFuzzer(0).config(index) for index in FUZZ_INDICES]
+        assert {config.engine for config in configs} == {"heap", "columnar"}
+        assert {config.observability is None for config in configs} == {True, False}
+        assert {config.shards is None for config in configs} == {True, False}
+        assert not any(config.parallel for config in configs)
+
+
+class TestFaultPlanSelection:
+    def test_fault_plan_keeps_its_platform_off_the_planner(self, monkeypatch):
+        # The controller attached for Spanner's fault plan is the only
+        # thing that routes its DFS around the planner; the fault-free
+        # platforms keep planning their reads.
+        calls = _count_plans(monkeypatch)
+        plan = FaultPlan().slow_disk("storage-0", at=0.01, duration=0.02)
+        result = FleetSimulation(
+            queries={SPANNER: 30, BIGTABLE: 30, BIGQUERY: 1},
+            seed=3,
+            bigquery_dataset_rows=2000,
+            fault_plans={SPANNER: plan},
+        ).run()
+        assert result.chaos[SPANNER].injected
+        planned = {id(dfs) for dfs in calls}
+        dfs_of = {name: result.platforms[name].dfs for name in result.platforms}
+        assert dfs_of[SPANNER].fault_controller is result.chaos[SPANNER]
+        assert id(dfs_of[SPANNER]) not in planned
+        assert id(dfs_of[BIGTABLE]) in planned
+        assert id(dfs_of[BIGQUERY]) in planned
