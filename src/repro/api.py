@@ -56,8 +56,12 @@ from repro.observability import (
     prometheus_text,
     traces_jsonl,
 )
-from repro.platforms.common import ENGINES
-from repro.workloads.fleet import FleetResult, FleetSimulation, normalize_queries
+from repro.workloads.fleet import (
+    FleetResult,
+    FleetSimulation,
+    normalize_queries,
+    validate_engine,
+)
 from repro.workloads.service import (
     ARRIVAL_CURVES,
     DEFAULT_TENANTS,
@@ -142,7 +146,8 @@ class FleetConfig:
     observability: ObservabilityConfig | Mapping[str, float] | bool | None = None
     #: Event-engine lane: ``"columnar"`` (SoA event blocks drained in
     #: time-bucketed batches by a calendar queue; short CPU runs take the
-    #: heap recorder) or the reference ``"heap"`` (one heappop per event).
+    #: heap recorder) or the reference ``"heap"`` (one heappop per event),
+    #: the test oracle; the CLI has no engine flag.
     #: Measurements are byte-identical either way -- the ``engine``
     #: differential pair in ``repro selftest`` and the exporter goldens
     #: enforce it.
@@ -380,10 +385,7 @@ class ServeConfig:
             raise ConfigError(
                 f"drain_windows must be non-negative, got {self.drain_windows}"
             )
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
+        validate_engine(self.engine)
         flash_start = (
             self.duration * 0.5 if self.flash_start is None else self.flash_start
         )

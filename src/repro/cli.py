@@ -18,8 +18,8 @@ Usage::
 
 Every fleet run goes through :func:`repro.api.run_fleet` (service runs
 through :func:`repro.api.run_service`); this module is argument parsing
-and presentation only.  The config axes ``--engine``, ``--shards``,
-``--workers`` and ``--seed`` are accepted uniformly across the run verbs
+and presentation only.  The config axes ``--shards``, ``--workers`` and
+``--seed`` are accepted uniformly across the run verbs
 and validated through the typed :mod:`repro.errors` taxonomy -- a bad
 value prints one ``ConfigError`` line and exits 2, never an argparse
 traceback.  Installed as the ``repro`` console script; also runnable as
@@ -62,8 +62,6 @@ _MODEL_FIGURES = {
     "15": figure15_data,
 }
 
-_ENGINES = ("heap", "columnar")
-
 
 # -- config-axis parsing ------------------------------------------------------
 #
@@ -97,29 +95,17 @@ def _axis_shards(value):
     return _axis_int("shards", value, minimum=1)
 
 
-def _axis_engine(value):
-    if value is None:
-        return None
-    if value not in _ENGINES:
-        raise ConfigError(
-            f"--engine must be one of {list(_ENGINES)}, got {value!r}"
-        )
-    return value
-
-
 def _resolve_axes(args: argparse.Namespace) -> dict:
     """The shared config axes, validated, as config-field kwargs.
 
     Maps 1:1 onto :class:`repro.api.FleetConfig` /
     :class:`repro.api.ServeConfig` fields: ``--seed`` -> ``seed``,
-    ``--engine`` -> ``engine``, ``--shards`` -> ``shards``, ``--workers``
-    -> ``max_workers``.  Only axes the verb declared appear in the result.
+    ``--shards`` -> ``shards``, ``--workers`` -> ``max_workers``.  Only
+    axes the verb declared appear in the result.
     """
     axes: dict = {}
     if hasattr(args, "seed"):
         axes["seed"] = _axis_int("seed", args.seed)
-    if hasattr(args, "engine"):
-        axes["engine"] = _axis_engine(args.engine)
     if hasattr(args, "shards"):
         axes["shards"] = _axis_shards(args.shards)
     if hasattr(args, "workers"):
@@ -127,36 +113,22 @@ def _resolve_axes(args: argparse.Namespace) -> dict:
     return axes
 
 
-def _add_axis_flags(
-    command: argparse.ArgumentParser,
-    *,
-    scheduler: bool = True,
-    engine_default: str | None = "columnar",
-) -> None:
+def _add_axis_flags(command: argparse.ArgumentParser) -> None:
     """Declare the shared config axes (validated by :func:`_resolve_axes`)."""
-    if scheduler:
-        command.add_argument(
-            "--shards",
-            default=None,
-            metavar="N|auto",
-            help="split each platform's query stream into N deterministic "
-            "sub-shards (same measurements for any worker count); 'auto' "
-            "sizes shards from the per-platform cost model and the CPU count",
-        )
-        command.add_argument(
-            "--workers",
-            default=None,
-            metavar="N",
-            help="worker process count for --parallel (also disables the "
-            "small-host auto-fallback)",
-        )
     command.add_argument(
-        "--engine",
-        default=engine_default,
-        metavar="|".join(_ENGINES),
-        help="discrete-event engine for the simulation inner loop: the "
-        "batched columnar calendar queue (the default), or the reference "
-        "binary heap (byte-identical measurements, higher wall-clock)",
+        "--shards",
+        default=None,
+        metavar="N|auto",
+        help="split each platform's query stream into N deterministic "
+        "sub-shards (same measurements for any worker count); 'auto' "
+        "sizes shards from the per-platform cost model and the CPU count",
+    )
+    command.add_argument(
+        "--workers",
+        default=None,
+        metavar="N",
+        help="worker process count for --parallel (also disables the "
+        "small-host auto-fallback)",
     )
 
 
@@ -417,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     selftest.add_argument("--seed", default=0, help="fuzzer seed")
     # Axis pins: fix one config axis across every fuzzed config (the fuzzer
-    # still draws the rest).  No default pin for --engine here -- the engine
-    # differential pair needs both engines free to flip.
-    _add_axis_flags(selftest, engine_default=None)
+    # still draws the rest).
+    _add_axis_flags(selftest)
     selftest.add_argument(
         "--jsonl",
         default=None,
@@ -739,6 +710,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
     # propagates to main(), which prints it and exits 2).
     api.validate_export_format(args.format)
     axes = _resolve_axes(args)
+    if args.format == "jsonl" and axes["shards"] is not None:
+        raise ConfigError(
+            "--shards does not apply to --format jsonl: a sharded run keeps "
+            "per-platform summaries, not span trees"
+        )
     # Traces live on in-process platform objects only; a parallel run has
     # none to export, so jsonl always runs sequentially.
     parallel = args.parallel and args.format != "jsonl"
@@ -814,7 +790,7 @@ def _serve_stream(config, *, jsonl: str | None, quiet: bool) -> int:
             print(
                 f"serving: arrival={config.arrival} rate={config.rate}/s "
                 f"duration={config.duration:g}s window={config.window:g}s "
-                f"seed={config.seed} engine={config.engine}"
+                f"seed={config.seed}"
             )
         for snapshot in api.run_service(config):
             windows += 1

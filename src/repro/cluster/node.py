@@ -13,7 +13,6 @@ from repro.cluster.network import Topology
 from repro.profiling.dapper import ChunkSpanBlock, Span, SpanKind, Trace
 from repro.profiling.gwp import FleetProfiler
 from repro.sim import (
-    ColumnarEnvironment,
     Environment,
     Event,
     Interrupt,
@@ -315,10 +314,11 @@ class ServerNode:
         drained in bulk between ordinary events by
         :class:`~repro.sim.ColumnarEnvironment`.
 
-        Falls back to :meth:`compute_batch` (which itself may fall back to
-        per-chunk :meth:`compute`) when the environment is not columnar or
-        the core is contended, so every measurement stays byte-identical to
-        the heap engine in every regime.
+        Only platforms on a :class:`~repro.sim.ColumnarEnvironment` build
+        chunk blocks.  Falls back to :meth:`compute_batch` (which itself may
+        fall back to per-chunk :meth:`compute`) when the core is contended,
+        so every measurement stays byte-identical to the heap engine in
+        every regime.
         """
         n = len(block)
         if not n:
@@ -327,11 +327,7 @@ class ServerNode:
             raise NodeDown(self.name)
         env = self.env
         pool = self._core_pool
-        if (
-            not isinstance(env, ColumnarEnvironment)
-            or pool.queue_length > 0
-            or pool.in_use + 1 >= pool.capacity
-        ):
+        if pool.queue_length > 0 or pool.in_use + 1 >= pool.capacity:
             yield from self.compute_batch(ctx, block.pairs())
             return
         durations = block.durations

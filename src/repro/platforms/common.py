@@ -36,7 +36,7 @@ from repro.core.profile import PlatformProfile, QueryGroupProfile
 from repro.platforms.functions import functions_for
 from repro.profiling.dapper import SpanKind, Tracer
 from repro.profiling.gwp import FleetProfiler
-from repro.sim import Environment, Interrupt, all_of
+from repro.sim import ColumnarEnvironment, Environment, Interrupt, all_of
 
 __all__ = [
     "QueryPlan",
@@ -46,10 +46,6 @@ __all__ = [
     "PlatformBase",
     "QueryRecord",
 ]
-
-#: Valid values for ``PlatformBase.set_engine`` / ``FleetConfig.engine``.
-ENGINES = ("heap", "columnar")
-
 
 @dataclass(frozen=True, slots=True)
 class QueryPlan:
@@ -383,7 +379,6 @@ class PlatformBase:
         jitter: float = 0.08,
         offload=None,
         offload_model=None,
-        coalesce: bool = True,
         metrics=None,
     ):
         self.env = env
@@ -397,11 +392,12 @@ class PlatformBase:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.jitter = jitter
-        #: When True (the default), uncontended CPU chunk runs execute as a
-        #: single scheduled event per run (:meth:`ServerNode.compute_batch`)
-        #: instead of one event per micro-chunk.  Measurements are
-        #: unaffected -- see docs/performance.md for the invariants.
-        self.coalesce = coalesce
+        #: When True (the default; ``FleetSimulation(coalesce=False)`` clears
+        #: it), uncontended CPU chunk runs execute as a single scheduled
+        #: event per run (:meth:`ServerNode.compute_batch`) instead of one
+        #: event per micro-chunk.  Measurements are unaffected -- see
+        #: docs/performance.md for the invariants.
+        self.coalesce = True
         #: Optional accelerator offload: an
         #: :class:`repro.accel.offload.OffloadRuntime` plus an
         #: :class:`repro.accel.complex.InvocationModel`.  When set, CPU
@@ -410,9 +406,6 @@ class PlatformBase:
         #: acceleration studies.
         self.offload = offload
         self.offload_model = offload_model
-        #: Execution engine lane ("columnar" or the reference "heap"); see
-        #: :meth:`set_engine`.
-        self.engine = "columnar"
         self.chunker = self._new_chunker(np.random.default_rng(seed + 1))
         self.records: list[QueryRecord] = []
         self._group_choices = [group.name for group in profile.groups]
@@ -447,24 +440,16 @@ class PlatformBase:
     def default_kind_for(self, group: QueryGroupProfile) -> str:
         return "query"
 
-    def set_engine(self, engine: str) -> None:
-        """Select the execution engine lane: ``"columnar"`` or ``"heap"``.
-
-        Columnar (the default) uses :class:`ColumnarCpuChunker` (same RNG
-        stream; long runs as struct-of-arrays blocks) so long CPU runs flow
-        through :meth:`ServerNode.compute_block` into the calendar queue of
-        a :class:`~repro.sim.ColumnarEnvironment`; heap is the reference
-        lane.  Must be called before any queries run: the chunker is rebuilt
-        on a fresh ``seed + 1`` stream, which only matches the other
-        engine's draws if nothing was drawn yet.
-        """
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        self.engine = engine
-        self.chunker = self._new_chunker(np.random.default_rng(self.seed + 1))
-
     def _new_chunker(self, rng: np.random.Generator) -> CpuChunker:
-        chunker_cls = ColumnarCpuChunker if self.engine == "columnar" else CpuChunker
+        """The chunker for this platform's environment.
+
+        A :class:`~repro.sim.ColumnarEnvironment` gets
+        :class:`ColumnarCpuChunker` (same RNG stream; long runs as
+        struct-of-arrays blocks for :meth:`ServerNode.compute_block`); the
+        reference heap :class:`Environment` gets :class:`CpuChunker`.
+        """
+        columnar = isinstance(self.env, ColumnarEnvironment)
+        chunker_cls = ColumnarCpuChunker if columnar else CpuChunker
         return chunker_cls(self.profile.cpu_component_fractions, rng=rng)
 
     def seed_query_streams(self, index: int) -> None:

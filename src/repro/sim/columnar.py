@@ -22,7 +22,7 @@ been an individual heap entry (each live block accounts for one pending
 heap slot, mirroring the heap engine's one-entry-per-batch invariant).
 
 Engine selection is ``engine="columnar"`` (the default) ``| "heap"`` on
-:class:`repro.api.FleetConfig` (and ``--engine`` on the CLI); the
+:class:`repro.api.FleetConfig`, which picks the environment class; the
 ``engine`` differential pair in ``repro selftest`` plus the exporter
 goldens hold the two engines byte-identical on every measurement
 surface.

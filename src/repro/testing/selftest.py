@@ -113,8 +113,8 @@ def run_selftest(
     ``emit`` receives one JSON-safe dict per verdict (plus a reproducer
     record on failure and a final summary) -- the JSONL stream.
     ``progress`` receives human-readable one-liners.  ``overrides`` pins
-    config axes across every fuzzed config (the CLI's ``--engine`` /
-    ``--shards`` / ``--workers`` pins); the fuzzer still draws the rest.
+    config axes across every fuzzed config (the CLI's ``--shards`` /
+    ``--workers`` pins); the fuzzer still draws the rest.
     The run stops at the first failing config (after shrinking it); a
     clean run executes all ``budget`` configs.
     """

@@ -41,6 +41,8 @@ __all__ = [
     "FleetSimulation",
     "counter_model_for",
     "normalize_queries",
+    "validate_engine",
+    "ENGINES",
     "FLEET_SAMPLE_PERIOD",
     "BIGQUERY_SAMPLE_PERIOD",
 ]
@@ -52,6 +54,20 @@ FLEET_SAMPLE_PERIOD = 5e-5
 BIGQUERY_SAMPLE_PERIOD = 20e-3
 
 _PLATFORM_SEED_OFFSET = {SPANNER: 10, BIGTABLE: 20, BIGQUERY: 30}
+
+#: Event-engine lanes.  ``"columnar"`` runs each platform on a
+#: :class:`ColumnarEnvironment` (struct-of-arrays event blocks drained in
+#: time-bucketed batches); ``"heap"`` on the reference :class:`Environment`
+#: (one heappop per event), kept as the test oracle.  The environment is the
+#: only engine decision: platforms derive their chunker from it.
+ENGINES = ("heap", "columnar")
+
+
+def validate_engine(engine: str) -> str:
+    """Return ``engine`` if it names a lane in :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
+    return engine
 
 
 def normalize_queries(queries: Mapping[str, int] | int) -> dict[str, int]:
@@ -235,13 +251,8 @@ class FleetSimulation:
         shards: int | Mapping[str, int] | None = None,
         engine: str = "columnar",
     ):
-        from repro.platforms.common import ENGINES
         from repro.workloads.shards import validate_shards
 
-        if engine not in ENGINES:
-            raise ConfigError(
-                f"engine must be one of {ENGINES}, got {engine!r}"
-            )
         self.queries = normalize_queries(queries)
         #: Query-granular sharding: ``None`` (default) keeps the legacy
         #: whole-platform decomposition with platform-lifetime RNG streams;
@@ -258,12 +269,9 @@ class FleetSimulation:
         #: Disable CPU-chunk coalescing (one event per micro-chunk instead);
         #: exists for the golden-equivalence tests and perf A/B runs.
         self.coalesce = coalesce
-        #: Event-engine lane: ``"columnar"`` (struct-of-arrays event blocks
-        #: drained in time-bucketed batches, short CPU runs on the heap
-        #: recorder) or the reference ``"heap"`` (the classic
-        #: one-heappop-per-event loop); byte-identical measurements, see
-        #: docs/performance.md.
-        self.engine = engine
+        #: Event-engine lane (see :data:`ENGINES`); byte-identical
+        #: measurements either way, see docs/performance.md.
+        self.engine = validate_engine(engine)
         #: Optional chaos: platform name -> FaultPlan replayed into that
         #: platform's environment while it serves its query stream.
         self.fault_plans = dict(fault_plans or {})
@@ -349,7 +357,6 @@ class FleetSimulation:
         else:
             raise ValueError(f"unknown platform {name!r}")
         platform.coalesce = self.coalesce
-        platform.set_engine(self.engine)
         return platform
 
     def start_observer(

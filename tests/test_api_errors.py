@@ -37,6 +37,10 @@ class TestRunFleetConfigErrors:
         with pytest.raises(api.ConfigError):
             api.run_fleet(api.FleetConfig(queries=-5))
 
+    def test_unknown_engine(self):
+        with pytest.raises(api.ConfigError, match="engine must be one of"):
+            api.run_fleet(api.FleetConfig(queries={"Spanner": 1}, engine="quantum"))
+
     def test_partial_mapping_fills_missing_platforms(self):
         """A single-platform mix runs; missing platforms idle at zero.
 

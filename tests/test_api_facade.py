@@ -28,13 +28,8 @@ class TestPublicSurface:
             api.FleetConfig().with_overrides(not_a_field=1)
 
     def test_columnar_is_the_default_engine(self):
-        from repro.cli import build_parser
-
         assert api.FleetConfig().engine == api.ServeConfig().engine == "columnar"
         assert FleetSimulation().engine == "columnar"
-        parser = build_parser()
-        for argv in (["fleet"], ["serve"], ["export", "--format", "prom"]):
-            assert parser.parse_args(argv).engine == "columnar"
 
 
 class TestBuildSimulation:

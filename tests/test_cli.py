@@ -26,15 +26,14 @@ class TestParser:
             build_parser().parse_args(["sweep", "--platform", "Oracle"])
 
     def test_axis_flags_uniform_across_run_verbs(self):
-        # --engine and --seed parse on every run verb; --shards/--workers
-        # on everything with a scheduler surface (serve declares them too,
-        # but rejects them at resolve time with a typed error).
+        # --seed, --shards and --workers parse on every run verb (serve
+        # declares the scheduler axes too, but rejects them at resolve time
+        # with a typed error).
         for verb in ("fleet", "top", "export", "serve", "selftest"):
-            argv = [verb, "--engine", "columnar", "--seed", "7"]
+            argv = [verb, "--seed", "7"]
             if verb == "export":
                 argv += ["--format", "prom"]
             args = build_parser().parse_args(argv)
-            assert args.engine == "columnar"
             assert args.seed == "7"  # validated later, not by argparse
             assert hasattr(args, "shards") and hasattr(args, "workers")
 
@@ -43,11 +42,23 @@ class TestParser:
         assert args.duration == 14400.0
         assert args.window == 60.0
         assert args.arrival == "diurnal"
-        assert args.engine == "columnar"
         assert args.jsonl is None
 
-    def test_selftest_engine_unpinned_by_default(self):
-        assert build_parser().parse_args(["selftest"]).engine is None
+    def test_engine_flag_is_gone(self, capsys):
+        # The heap engine is a test oracle reachable only through
+        # FleetConfig(engine="heap"); no verb accepts --engine.
+        for argv in (
+            ["fleet"],
+            ["top"],
+            ["export", "--format", "prom"],
+            ["serve"],
+            ["selftest"],
+            ["store", "ingest", "p.sqlite"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv + ["--engine", "heap"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 class TestTypedAxisErrors:
@@ -57,7 +68,10 @@ class TestTypedAxisErrors:
         "argv, needle",
         [
             (["fleet", "--seed", "abc"], "--seed expects an integer"),
-            (["fleet", "--engine", "quantum"], "--engine must be one of"),
+            (
+                ["export", "--format", "jsonl", "--shards", "1"],
+                "--shards does not apply to --format jsonl",
+            ),
             (["fleet", "--shards", "zero"], "--shards"),
             (["fleet", "--workers", "0"], "--workers must be >= 1"),
             (["serve", "--shards", "2"], "--shards does not apply"),
@@ -164,14 +178,28 @@ class TestServeCommand:
     def test_serve_jsonl_stdout_is_pure_and_engine_invariant(self, capsys):
         import json
 
-        legs = {}
-        for engine in ("heap", "columnar"):
-            assert main(SERVE_SMALL + ["--jsonl", "-", "--engine", engine]) == 0
-            out = capsys.readouterr().out
-            rows = [json.loads(line) for line in out.splitlines()]
-            assert [row["index"] for row in rows] == list(range(len(rows)))
-            legs[engine] = out
-        assert legs["heap"] == legs["columnar"]
+        from repro import api
+        from repro.observability.exporters import window_jsonl
+
+        assert main(SERVE_SMALL + ["--jsonl", "-"]) == 0
+        out = capsys.readouterr().out
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["index"] for row in rows] == list(range(len(rows)))
+        # The CLI runs the columnar default; the heap oracle, reachable
+        # only through the config, must stream the same bytes.
+        heap = api.ServeConfig(
+            duration=60.0,
+            window=30.0,
+            rate=0.3,
+            arrival="flash",
+            flash_start=15.0,
+            flash_duration=15.0,
+            seed=11,
+            engine="heap",
+        )
+        assert out.splitlines() == [
+            window_jsonl(snapshot) for snapshot in api.run_service(heap)
+        ]
 
     def test_serve_jsonl_file(self, tmp_path, capsys):
         target = tmp_path / "windows.jsonl"

@@ -11,7 +11,9 @@ Three properties pin the scheduler to the heap engine's contract:
 
 A fourth pins the columnar chunker's run-length routing to the heap
 chunker on both sides of ``SMALL_RUN_CHUNKS``, and a fleet run whose CPU
-runs fall on both sides must match the heap engine's snapshot.
+runs fall on both sides must match the heap engine's snapshot.  The
+environment alone picks the lane: a platform built directly on either
+environment carries that lane's chunker and measures the same run.
 
 Strategies live in :mod:`tests.strategies` (``time_columns``,
 ``schedule_plans``) so the differential-harness tests can reuse them.
@@ -22,11 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.node import SMALL_RUN_CHUNKS
+from repro.platforms.bigquery import BigQueryEngine
+from repro.platforms.bigtable import BigTableStore
 from repro.platforms.common import ChunkBlock, ColumnarCpuChunker, CpuChunker
+from repro.platforms.spanner import SpannerDatabase
+from repro.profiling.gwp import FleetProfiler
 from repro.sim import Environment
 from repro.sim.columnar import CalendarQueue, CallBlock, ColumnarEnvironment
 from repro.sim.engine import SimulationError
-from repro.workloads.calibration import cpu_component_fractions
+from repro.workloads.calibration import build_profile, cpu_component_fractions
 from repro.workloads.fleet import FleetSimulation
 from tests.strategies import schedule_plans, time_columns
 
@@ -238,11 +244,26 @@ def test_routing_boundary_matches_heap_chunker(weights, bound, warmup, after, se
     assert list(col.chunks(after)) == heap.chunks(after)
 
 
+def _direct_platform(cls, env_cls, name):
+    """One platform built straight on an environment, no FleetSimulation."""
+    kwargs = {"dataset_rows": 1500} if cls is BigQueryEngine else {}
+    return cls(
+        env_cls(),
+        build_profile(name),
+        profiler=FleetProfiler(sample_period=1e-3),
+        seed=5,
+        **kwargs,
+    )
+
+
 def test_default_engine_matches_heap_across_the_cutoff(monkeypatch):
     """A BigQuery + OLTP mix on the default engine equals the heap run.
 
     BigQuery runs are thousands of chunks (blocks); OLTP runs are a few
     dozen (lists on the heap recorder), so the mix covers both routes.
+    The same holds for platforms built directly on each environment: the
+    environment class alone selects the chunker, before and after the
+    per-query stream rebase.
     """
     routes = set()
     chunks = ColumnarCpuChunker.chunks
@@ -270,3 +291,29 @@ def test_default_engine_matches_heap_across_the_cutoff(monkeypatch):
         assert default.platforms[name].env.events_processed == (
             platform.env.events_processed
         )
+
+    for cls, name in (
+        (SpannerDatabase, "Spanner"),
+        (BigTableStore, "BigTable"),
+        (BigQueryEngine, "BigQuery"),
+    ):
+        legs = {}
+        for env_cls, chunker_cls in (
+            (Environment, CpuChunker),
+            (ColumnarEnvironment, ColumnarCpuChunker),
+        ):
+            platform = _direct_platform(cls, env_cls, name)
+            assert type(platform.chunker) is chunker_cls
+            platform.seed_query_streams(3)
+            assert type(platform.chunker) is chunker_cls
+            # Serve on a fresh instance: the rebase above moved the streams.
+            platform = _direct_platform(cls, env_cls, name)
+            env = platform.env
+            env.run(until=env.process(platform.serve(2)))
+            legs[env_cls] = (
+                platform.records,
+                list(platform.profiler.samples),
+                env.events_processed,
+            )
+        assert legs[Environment] == legs[ColumnarEnvironment]
+        assert legs[Environment][1], f"{name} recorded no samples"

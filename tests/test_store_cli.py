@@ -23,8 +23,7 @@ def store_path(tmp_path_factory):
          "--observe", "--label", "first"]
     ) == 0
     assert main(
-        ["store", "ingest", str(path), "--queries", "8", "--seed", "3",
-         "--engine", "columnar"]
+        ["store", "ingest", str(path), "--queries", "8", "--seed", "3"]
     ) == 0
     return path
 
@@ -213,7 +212,7 @@ class TestParser:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["store", "ingest", "p.sqlite", "--engine", "columnar", "--seed", "7"]
+            ["store", "ingest", "p.sqlite", "--seed", "7"]
         )
-        assert args.engine == "columnar"
         assert args.seed == "7"  # validated later, not by argparse
+        assert hasattr(args, "shards") and hasattr(args, "workers")
