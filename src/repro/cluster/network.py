@@ -156,6 +156,9 @@ class NetworkFabric:
         #: Directed round-trip entries: both legs of :meth:`round_trip_time`
         #: folded into one lookup.  Same lifecycle as ``_routes``.
         self._rtt_routes: dict[tuple[int, int], tuple] = {}
+        #: Bumped whenever the route caches are dropped, so caches built
+        #: on top of them (the DFS round-trip memo) can tell they are stale.
+        self.route_gen = 0
 
     # -- fault injection -----------------------------------------------------
 
@@ -167,12 +170,14 @@ class NetworkFabric:
         self._partitions.append(handle)
         self._routes.clear()
         self._rtt_routes.clear()
+        self.route_gen += 1
         return handle
 
     def heal(self, handle: tuple[TopologySelector, TopologySelector]) -> None:
         self._partitions.remove(handle)
         self._routes.clear()
         self._rtt_routes.clear()
+        self.route_gen += 1
 
     def degrade_link(
         self,
@@ -187,12 +192,19 @@ class NetworkFabric:
         self._degradations.append(degradation)
         self._routes.clear()
         self._rtt_routes.clear()
+        self.route_gen += 1
         return degradation
 
     def restore_link(self, handle: LinkDegradation) -> None:
         self._degradations.remove(handle)
         self._routes.clear()
         self._rtt_routes.clear()
+        self.route_gen += 1
+
+    @property
+    def has_partitions(self) -> bool:
+        """True while any partition is active."""
+        return bool(self._partitions)
 
     def is_partitioned(self, src: Topology, dst: Topology) -> bool:
         return any(
@@ -201,9 +213,6 @@ class NetworkFabric:
         )
 
     # -- cost model ----------------------------------------------------------
-
-    def one_way_latency(self, src: Topology, dst: Topology) -> float:
-        return self.latency[src.locality_to(dst)]
 
     def _route(self, src: Topology, dst: Topology) -> tuple:
         """Resolve and cache the effective (latency, bandwidth, partitioned)."""

@@ -102,7 +102,7 @@ class BigQueryEngine(PlatformBase):
         # as it would be in steady state.
         self._column_paths = []
         #: FileMeta per column path, resolved once (the files are immutable
-        #: for the engine's lifetime) so the IO-op factory skips the lookup.
+        #: for the engine's lifetime) so scan draws skip the lookup.
         self._column_metas = []
         for column in ("user_id", "country", "revenue", "latency", "status"):
             path = f"/bigquery/events/{column}"
@@ -333,12 +333,8 @@ class BigQueryEngine(PlatformBase):
             tail_name="bigquery:remote-tail",
             tail_kind=SpanKind.REMOTE,
         )
-        yield from self.realize_budget(
-            ctx,
-            plan.t_io,
-            self._io_op_factory(ctx, node),
-            tail_name="bigquery:io-tail",
-            tail_kind=SpanKind.IO,
+        yield from self.read_budget(
+            ctx, plan.t_io, self._scan_draw(node), tail_name="bigquery:io-tail"
         )
 
     def _remote_op_factory(self, ctx: WorkContext, node: ServerNode):
@@ -384,13 +380,15 @@ class BigQueryEngine(PlatformBase):
             self._shuffle_rate = 0.5 * self._shuffle_rate + 0.5 * elapsed / nbytes
         self._count_shuffle(nbytes)
 
-    def _io_op_factory(self, ctx: WorkContext, node: ServerNode):
+    def _scan_draw(self, node: ServerNode):
+        """``next_read`` for :meth:`read_budget`: one column scan per draw."""
         paths = self._column_paths
         metas = self._column_metas
         n = len(paths)
         rng = self.rng
+        reader = node.topology
 
-        def factory(remaining: float):
+        def next_read(remaining: float):
             min_op = 5e-3
             if remaining < min_op:
                 return None
@@ -398,24 +396,13 @@ class BigQueryEngine(PlatformBase):
             meta = metas[index]
             target = min(remaining * 0.8, 1.0)
             nbytes = max(4 * MB, min(target / self._io_rate, meta.size, MAX_SCAN_BYTES))
+            # x * random() is uniform(0, x) bit for bit, state included
+            # (numpy draws low + (high - low) * next_double), minus the
+            # argument broadcasting.
             if rng.random() < HOT_SCAN_PROBABILITY:
-                span = max(1.0, meta.size * HOT_FRACTION - nbytes)
-                offset = float(rng.uniform(0, span))
+                offset = max(1.0, meta.size * HOT_FRACTION - nbytes) * rng.random()
             else:
-                offset = float(rng.uniform(0, max(1.0, meta.size - nbytes)))
-            return self._timed_scan(ctx, node, paths[index], offset, nbytes)
+                offset = max(1.0, meta.size - nbytes) * rng.random()
+            return paths[index], reader, offset, min(nbytes, meta.size - offset)
 
-        return factory
-
-    def _timed_scan(
-        self, ctx: WorkContext, node: ServerNode, path: str, offset: float, nbytes: float
-    ) -> Generator:
-        meta = self.dfs.meta(path)
-        nbytes = min(nbytes, meta.size - offset)
-        if nbytes <= 0:
-            return
-        start = self.env.now
-        yield from self.dfs.read(ctx, node.topology, path, offset=offset, size=nbytes)
-        elapsed = self.env.now - start
-        if elapsed > 0:
-            self._io_rate = 0.5 * self._io_rate + 0.5 * elapsed / nbytes
+        return next_read

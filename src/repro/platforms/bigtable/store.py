@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.cluster.manager import Cluster, ClusterManager
-from repro.cluster.node import ServerNode, WorkContext
+from repro.cluster.node import WorkContext
 from repro.core.profile import PlatformProfile, QueryGroupProfile
 from repro.platforms.bigtable.compaction import CompactionManager
 from repro.platforms.bigtable.sstable import SSTable
@@ -145,12 +145,11 @@ class BigTableStore(PlatformBase):
             tail_name="bigtable:remote-tail",
             tail_kind=SpanKind.REMOTE,
         )
-        yield from self.realize_budget(
+        yield from self.read_budget(
             ctx,
             max(0.0, plan.t_io - semantic_io),
-            self._io_op_factory(ctx, tablet),
+            self._sstable_draw(tablet),
             tail_name="bigtable:io-tail",
-            tail_kind=SpanKind.IO,
         )
 
     def _semantic_op(self, ctx: WorkContext, tablet: Tablet, plan: QueryPlan) -> Generator:
@@ -188,8 +187,10 @@ class BigTableStore(PlatformBase):
 
         return factory
 
-    def _io_op_factory(self, ctx: WorkContext, tablet: Tablet):
-        def factory(remaining: float):
+    def _sstable_draw(self, tablet: Tablet):
+        """``next_read`` for :meth:`read_budget`: one SSTable read per draw."""
+
+        def next_read(remaining: float):
             min_op = 0.15e-3
             if remaining < min_op:
                 return None
@@ -205,20 +206,10 @@ class BigTableStore(PlatformBase):
             meta = self.dfs.meta(run.path)
             target = min(remaining * 0.8, 1e-3)
             nbytes = max(4096.0, min(target / self._io_rate, meta.size))
-            offset = float(self.rng.uniform(0, max(1.0, meta.size - nbytes)))
-            return self._timed_read(ctx, tablet.node, run.path, offset, nbytes)
+            # uniform(0, x) bit for bit (see BigQueryEngine._scan_draw).
+            offset = max(1.0, meta.size - nbytes) * self.rng.random()
+            return (
+                run.path, tablet.node.topology, offset, min(nbytes, meta.size - offset)
+            )
 
-        return factory
-
-    def _timed_read(
-        self, ctx: WorkContext, node: ServerNode, path: str, offset: float, nbytes: float
-    ) -> Generator:
-        meta = self.dfs.meta(path)
-        nbytes = min(nbytes, meta.size - offset)
-        if nbytes <= 0:
-            return
-        start = self.env.now
-        yield from self.dfs.read(ctx, node.topology, path, offset=offset, size=nbytes)
-        elapsed = self.env.now - start
-        if elapsed > 0:
-            self._io_rate = 0.5 * self._io_rate + 0.5 * elapsed / nbytes
+        return next_read

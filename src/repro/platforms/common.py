@@ -36,7 +36,7 @@ from repro.core.profile import PlatformProfile, QueryGroupProfile
 from repro.platforms.functions import functions_for
 from repro.profiling.dapper import SpanKind, Tracer
 from repro.profiling.gwp import FleetProfiler
-from repro.sim import ColumnarEnvironment, Environment, Interrupt, all_of
+from repro.sim import ColumnarEnvironment, Environment, Event, Interrupt, all_of
 
 __all__ = [
     "QueryPlan",
@@ -355,6 +355,98 @@ class QueryRecord:
     @property
     def failed(self) -> bool:
         return self.error is not None
+
+
+#: Returned to :meth:`PlatformBase.read_budget` when its read loop ends
+#: without a further draw: the budget is spent or a read made no progress.
+_STOP = object()
+#: What :meth:`_ReadChain.advance` returns while a read is in flight.
+_IN_FLIGHT = object()
+
+
+class _ReadChain:
+    """An IO budget's clean-state DFS reads, each launched from the last.
+
+    Every read is planned whole (:meth:`DistributedFileSystem.start_read`)
+    and its final leg is a scheduled call, :meth:`land`.  That call does
+    what the budget loop would do on resuming there -- apply the leg's
+    tallies, record the ``dfs:read`` span, refine ``_io_rate``, check the
+    budget, draw the next read -- and, if the DFS is still chainable,
+    plans it and schedules its legs.  The waiting process resumes once,
+    inside the call that ends the chain (:meth:`Event.trigger_now`), and
+    is handed the draw it must act on: a read the chain could not take,
+    ``None``, or ``_STOP``.  Events, heap sequence numbers, RNG draws and
+    span ids therefore come out exactly as with one resume per read.
+    """
+
+    __slots__ = (
+        "platform", "ctx", "budget", "start", "next_read", "waiter",
+        "path", "began", "nbytes", "plan",
+    )
+
+    def __init__(self, platform, ctx, budget, start, next_read):
+        self.platform = platform
+        self.ctx = ctx
+        self.budget = budget
+        self.start = start
+        self.next_read = next_read
+
+    def launch(self, read) -> bool:
+        """Plan ``read`` and schedule its legs; False if it finished at once."""
+        path, reader, offset, nbytes = read
+        dfs = self.platform.dfs
+        self.began = began = dfs.env.now
+        plan = dfs.start_read(reader, path, offset, nbytes)
+        if not plan.legs:
+            # Nothing to wait for (and no time elapsed to learn from).
+            dfs.finish_read(self.ctx, path, began, plan)
+            return False
+        self.path = path
+        self.nbytes = nbytes
+        self.plan = plan
+        dfs.env.schedule_call(plan.legs[-1].end, self.land)
+        return True
+
+    def wait(self) -> Event:
+        """A fresh event for the process to wait on until the chain ends."""
+        self.waiter = Event(self.platform.env)
+        return self.waiter
+
+    def land(self) -> None:
+        """The in-flight read's final leg: finish it, go on or hand back."""
+        waiter = self.waiter
+        if not waiter.callbacks:
+            # The process was interrupted mid-read: like the timeout it
+            # used to wait on, the leg now fires for nobody.
+            return
+        try:
+            outcome = self.advance()
+        except BaseException as exc:
+            # Whatever the step raises is the process's to handle, as when
+            # the step ran inside it (Process._resume routes it the same way).
+            waiter.trigger_now(exc, ok=False)
+            return
+        if outcome is not _IN_FLIGHT:
+            waiter.trigger_now(outcome)
+
+    def advance(self):
+        """Finish the in-flight read, then draw and launch the next one."""
+        self.plan.legs[-1].apply()
+        platform = self.platform
+        dfs = platform.dfs
+        began = self.began
+        dfs.finish_read(self.ctx, self.path, began, self.plan)
+        elapsed = dfs.env.now - began
+        platform._observe_io(elapsed, self.nbytes)
+        if elapsed <= 0:
+            return _STOP
+        remaining = self.budget - (dfs.env.now - self.start)
+        if remaining <= 0:
+            return _STOP
+        read = self.next_read(remaining)
+        if read is None or read[3] <= 0 or not dfs.chainable:
+            return read
+        return _IN_FLIGHT if self.launch(read) else _STOP
 
 
 class PlatformBase:
@@ -720,6 +812,70 @@ class PlatformBase:
                         tail_name, tail_kind, tail_start, self.env.now, tail=True
                     )
                 return
+
+    def read_budget(
+        self,
+        ctx: WorkContext,
+        budget: float,
+        next_read,
+        *,
+        tail_name: str,
+    ) -> Generator:
+        """Spend an IO budget on DFS reads plus a tail wait.
+
+        ``next_read(remaining)`` draws the next read as ``(path, reader,
+        offset, nbytes)``, or returns ``None`` when no read fits the
+        remaining budget; a draw with ``nbytes <= 0`` reads nothing.  Each
+        completed read refines the platform's ``_io_rate`` (seconds per
+        byte) that the draws size reads by.  The budget no read can cover
+        is waited out as one ``tail=True`` IO span, as in
+        :meth:`realize_budget`, whose op-at-a-time loop this one follows
+        step for step.
+
+        While the DFS is :attr:`~repro.storage.dfs.DistributedFileSystem.chainable`
+        the reads run as a :class:`_ReadChain`: each read's final leg is a
+        scheduled call that records it and launches the next, and this
+        process resumes once, when the chain ends.  Any other read takes
+        ``dfs.read`` in this loop.
+        """
+        if budget < 0:
+            raise ValueError("budget must be non-negative")
+        env = self.env
+        dfs = self.dfs
+        start = env.now
+        chain = None
+        read = next_read(budget) if budget > 0 else _STOP
+        while read is not None and read is not _STOP:
+            path, reader, offset, nbytes = read
+            before = env.now
+            if nbytes > 0:
+                if dfs.chainable:
+                    if chain is None:
+                        chain = _ReadChain(self, ctx, budget, start, next_read)
+                    if chain.launch(read):
+                        read = yield chain.wait()
+                    else:
+                        read = _STOP
+                    continue
+                yield from dfs.read(ctx, reader, path, offset=offset, size=nbytes)
+                self._observe_io(env.now - before, nbytes)
+            if env.now <= before:
+                # The read made no simulated progress; fall back to the
+                # tail wait to avoid spinning.
+                break
+            remaining = budget - (env.now - start)
+            if remaining <= 0:
+                return
+            read = next_read(remaining)
+        remaining = budget - (env.now - start)
+        if remaining > 0:
+            tail_start = env.now
+            yield env.timeout(remaining)
+            ctx.record_span(tail_name, SpanKind.IO, tail_start, env.now, tail=True)
+
+    def _observe_io(self, elapsed: float, nbytes: float) -> None:
+        if elapsed > 0:
+            self._io_rate = 0.5 * self._io_rate + 0.5 * elapsed / nbytes
 
     # -- reporting -------------------------------------------------------------
 

@@ -182,12 +182,8 @@ class SpannerDatabase(PlatformBase):
             tail_name="spanner:remote-tail",
             tail_kind=SpanKind.REMOTE,
         )
-        yield from self.realize_budget(
-            ctx,
-            plan.t_io,
-            self._io_op_factory(ctx, node, shard),
-            tail_name="spanner:io-tail",
-            tail_kind=SpanKind.IO,
+        yield from self.read_budget(
+            ctx, plan.t_io, self._table_draw(node, shard), tail_name="spanner:io-tail"
         )
 
     def _participant(self, shard: int) -> ShardParticipant:
@@ -287,27 +283,20 @@ class SpannerDatabase(PlatformBase):
 
         return factory
 
-    def _io_op_factory(self, ctx: WorkContext, node: ServerNode, shard: int):
+    def _table_draw(self, node: ServerNode, shard: int):
+        """``next_read`` for :meth:`read_budget`: one table-file read per draw."""
         path = self._table_paths[shard]
         meta = self.dfs.meta(path)
+        reader = node.topology
 
-        def factory(remaining: float):
+        def next_read(remaining: float):
             min_op = 0.15e-3
             if remaining < min_op:
                 return None
             target = min(remaining * 0.8, 1e-3)
             nbytes = max(4096.0, min(target / self._io_rate, meta.size / 4))
-            offset = float(self.rng.uniform(0, meta.size - nbytes))
-            return self._timed_read(ctx, node, path, offset, nbytes)
+            # uniform(0, x) bit for bit (see BigQueryEngine._scan_draw).
+            offset = (meta.size - nbytes) * self.rng.random()
+            return path, reader, offset, nbytes
 
-        return factory
-
-    def _timed_read(
-        self, ctx: WorkContext, node: ServerNode, path: str, offset: float, nbytes: float
-    ) -> Generator:
-        start = self.env.now
-        yield from self.dfs.read(ctx, node.topology, path, offset=offset, size=nbytes)
-        elapsed = self.env.now - start
-        if nbytes > 0 and elapsed > 0:
-            observed = elapsed / nbytes
-            self._io_rate = 0.5 * self._io_rate + 0.5 * observed
+        return next_read

@@ -89,6 +89,24 @@ class Event:
         self.env._schedule(self)
         return self
 
+    def trigger_now(self, value: Any = None, *, ok: bool = True) -> None:
+        """Trigger the event and run its callbacks inside the current dispatch.
+
+        For a :meth:`Environment.schedule_call` callable that finishes work
+        a process waits on: the waiter resumes within the same event-loop
+        step, exactly as if the callable had been the event it waited for.
+        No heap entry, no sequence number, no ``events_processed`` tick.
+        ``ok=False`` throws ``value`` (an exception) into the waiter.
+        """
+        if self._triggered:
+            raise SimulationError(f"{self!r} already triggered")
+        self._triggered = True
+        self._ok = ok
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self._triggered else "pending"
         return f"<{type(self).__name__} {state} at t={self.env.now}>"

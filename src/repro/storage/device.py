@@ -74,12 +74,13 @@ class StorageDevice:
     def read_time(self, nbytes: float) -> float:
         """Seconds to read ``nbytes`` (latency + transfer); counts traffic.
 
-        Called once per chunk by both the per-chunk reader and the batched
+        Charged once per chunk by both the per-chunk reader and the batched
         read planner (:mod:`repro.storage.reader`), in the same order --
-        traffic counters are therefore identical across io modes.  The
-        undegraded path skips the slowdown multiply: ``x * 1.0 == x``
-        bitwise for finite positive times, and this is the hottest device
-        call in a fleet run.
+        traffic counters are therefore identical across readers.
+        ``TieredStore.read_planned`` inlines this body on its cache-hit
+        paths; keep the two in step.  The undegraded path skips the
+        slowdown multiply: ``x * 1.0 == x`` bitwise for finite positive
+        times.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")

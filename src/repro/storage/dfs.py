@@ -20,12 +20,15 @@ from repro.cluster.node import WorkContext
 from repro.profiling.dapper import SpanKind
 from repro.sim import Environment, Timeout
 from repro.storage.device import DeviceKind
-from repro.storage.reader import plan_read
+from repro.storage.reader import ReadPlan, plan_read
 from repro.storage.tier import TieredStore
 
 __all__ = ["Chunk", "FileMeta", "StorageServer", "DistributedFileSystem"]
 
 DEFAULT_CHUNK_BYTES = 4 * 1024 * 1024
+
+#: ``DeviceKind -> value``, the tier names IO spans are annotated with.
+_TIER_NAMES = {kind: kind.value for kind in DeviceKind}
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,6 +111,13 @@ class DistributedFileSystem:
         #: Bumped whenever ``_replica_order`` is cleared, so in-flight reads
         #: holding a per-reader sub-dict can notice mid-read failovers.
         self._replica_gen = 0
+        #: Full-chunk round-trip times across plans, nested as id(reader) ->
+        #: (reader, {id(server): seconds}) with the same identity pin as
+        #: ``_replica_order``.  Only ``chunk_bytes``-sized requests are kept,
+        #: so the memo is bounded by readers x servers; it is valid for one
+        #: fabric route generation (``_rtt_gen``) and dropped on the next.
+        self._rtt_memo: dict[int, tuple[Topology, dict[int, float]]] = {}
+        self._rtt_gen = fabric.route_gen
 
     # -- failure injection -----------------------------------------------------
 
@@ -171,9 +181,6 @@ class DistributedFileSystem:
 
     # -- data path ------------------------------------------------------------
 
-    def _closest_replica(self, chunk: Chunk, reader: Topology) -> StorageServer:
-        return self._replicas_by_locality(chunk, reader)[0]
-
     def _replicas_by_locality(
         self, chunk: Chunk, reader: Topology
     ) -> list[StorageServer]:
@@ -223,6 +230,68 @@ class DistributedFileSystem:
             yield chunks[index], overlap
             index += 1
 
+    @property
+    def chainable(self) -> bool:
+        """Whether reads may be planned back to back from the event loop.
+
+        True while no storage server is down, no fault controller is
+        attached and the fabric has no partition: then a plan can neither
+        fail nor race a mid-read state change, so
+        :meth:`~repro.platforms.common.PlatformBase.read_budget` launches
+        each read from the previous read's final leg (:meth:`start_read`,
+        :meth:`finish_read`) instead of resuming its process per read.
+        """
+        return (
+            not self._down
+            and self.fault_controller is None
+            and not self.fabric.has_partitions
+        )
+
+    def _checked_meta(self, path: str, offset: float, size: float) -> FileMeta:
+        meta = self.meta(path)
+        if offset < 0 or size < 0 or offset + size > meta.size + 1e-9:
+            raise ValueError(
+                f"range [{offset}, {offset + size}) outside file of {meta.size} bytes"
+            )
+        return meta
+
+    def start_read(
+        self, reader: Topology, path: str, offset: float, size: float
+    ) -> ReadPlan:
+        """Plan a byte-range read now and schedule its interior legs.
+
+        The caller owns the final leg: at ``plan.legs[-1].end`` it applies
+        that leg and calls :meth:`finish_read`.  A plan with no legs is
+        already complete.  A partitioned plan schedules nothing (the caller
+        raises; see :meth:`read`).
+        """
+        meta = self._checked_meta(path, offset, size)
+        env = self.env
+        plan = plan_read(self, reader, meta, offset, size, env.now)
+        if plan.partitioned is None:
+            # Interior legs land their deferred tier tallies as bare
+            # scheduled callables at the leg boundary.
+            schedule_call = env.schedule_call
+            for leg in plan.legs[:-1]:
+                schedule_call(leg.end, leg.apply)
+        return plan
+
+    def finish_read(
+        self, ctx: WorkContext, path: str, start: float, plan: ReadPlan
+    ) -> None:
+        """Record a completed planned read's IO span (its final leg applied)."""
+        # A loop over the enum-value table: both the comprehension's frame
+        # and Enum's ``value`` property cost a call per read.
+        tiers_hit = {}
+        for tier, count in plan.hits_by_tier.items():
+            tiers_hit[_TIER_NAMES[tier]] = count
+        annotations = {"bytes": plan.served, "tiers": tiers_hit}
+        if plan.failovers:
+            annotations["failovers"] = plan.failovers
+        ctx.record_span(
+            f"dfs:read:{path}", SpanKind.IO, start, self.env.now, **annotations
+        )
+
     def read(
         self,
         ctx: WorkContext,
@@ -240,27 +309,22 @@ class DistributedFileSystem:
 
         The whole read is normally resolved up front by
         :func:`repro.storage.reader.plan_read` and executes as one scheduled
-        event per tier-contiguous leg plus a single generator resume, on
-        timestamps bit-identical to the per-chunk reader's.  Reads that
-        could race mid-read state changes -- a nonempty down-set, or an
+        event per tier-contiguous leg, this generator resuming on the final
+        one, on timestamps bit-identical to the per-chunk reader's.  Reads
+        that could race mid-read state changes -- a nonempty down-set, or an
         attached :attr:`fault_controller` -- take the per-chunk path.
         """
-        meta = self.meta(path)
         if size is None:
-            size = meta.size - offset
-        if offset < 0 or size < 0 or offset + size > meta.size + 1e-9:
-            raise ValueError(
-                f"range [{offset}, {offset + size}) outside file of {meta.size} bytes"
-            )
+            size = self.meta(path).size - offset
         if self._down or self.fault_controller is not None:
+            meta = self._checked_meta(path, offset, size)
             return (
                 yield from self._read_chunked(ctx, reader, path, meta, offset, size)
             )
         env = self.env
         start = env.now
-        plan = plan_read(self, reader, meta, offset, size, start)
+        plan = self.start_read(reader, path, offset, size)
         legs = plan.legs
-        served = plan.served
         if plan.partitioned is not None:
             if legs:
                 # Advance to the last completed chunk's timestamp first so
@@ -272,28 +336,17 @@ class DistributedFileSystem:
                     leg.apply()
             ctx.record_span(
                 f"dfs:read:{path}", SpanKind.IO, start, env.now,
-                bytes=served, error="partition",
+                bytes=plan.served, error="partition",
             )
             raise NetworkPartitioned(
                 f"no reachable replica of {plan.partitioned} from {reader}"
             )
         if legs:
-            # Interior legs land their deferred tier tallies as bare
-            # scheduled callables at the leg boundary; the final leg is the
-            # one event this generator resumes on.
-            for leg in legs[:-1]:
-                env.schedule_call(leg.end, leg.apply)
             final = legs[-1]
             yield Timeout(env, 0.0, at=final.end)
             final.apply()
-        tiers_hit = {tier.value: count for tier, count in plan.hits_by_tier.items()}
-        annotations = {"bytes": served, "tiers": tiers_hit}
-        if plan.failovers:
-            annotations["failovers"] = plan.failovers
-        ctx.record_span(
-            f"dfs:read:{path}", SpanKind.IO, start, env.now, **annotations
-        )
-        return served
+        self.finish_read(ctx, path, start, plan)
+        return plan.served
 
     def _read_chunked(
         self,

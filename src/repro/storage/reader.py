@@ -9,8 +9,11 @@ time instead: replica order, tier hits, and per-chunk service times from
 the same chunk-range walk, accumulated on the identical float chain the
 chunk-by-chunk reader would have produced.  The read then executes as a
 small number of coalesced events -- one *leg* per contiguous run of chunks
-served by the same device tier -- and exactly one generator resume, on the
-final leg's timestamp.
+served by the same device tier.  What happens at the final leg's timestamp
+is up to the caller: ``DistributedFileSystem.read`` resumes its generator
+there, once per read, while an IO budget's chain
+(``PlatformBase.read_budget``) records the read and launches the next one
+from that event and resumes its process once per budget.
 
 Parity contract (guarded by ``tests/test_read_planner.py``: chunk-level
 properties against the per-chunk reader, and ``TestFleetParity``, which
@@ -117,13 +120,21 @@ def plan_read(
     plan = ReadPlan(start)
     fabric = dfs.fabric
     round_trip_time = fabric.round_trip_time
-    # Per-plan RTT memo: fabric routes cannot change mid-plan (the planner
-    # runs atomically, and mutation sources degrade the DFS to the
-    # per-chunk path), so identical (server, nbytes) requests inside one
-    # plan reuse the time and replay only the two-message traffic
+    # Full-chunk round trips are memoized across plans per (reader,
+    # server); storage servers live as long as their DFS, so their ids are
+    # stable keys.  Fabric routes change only through the calls that bump
+    # ``route_gen`` and cannot change mid-plan (the planner runs
+    # atomically), so a hit replays only the two-message traffic
     # accounting.  Failures are never cached: a partitioned route must
     # re-raise (and re-count the drop) on every attempt.
-    rtt_times: dict = {}
+    if dfs._rtt_gen != fabric.route_gen:
+        dfs._rtt_memo.clear()
+        dfs._rtt_gen = fabric.route_gen
+    memo_entry = dfs._rtt_memo.get(id(reader))
+    if memo_entry is None or memo_entry[0] is not reader:
+        memo_entry = dfs._rtt_memo[id(reader)] = (reader, {})
+    rtt_memo = memo_entry[1]
+    full_chunk = dfs.chunk_bytes
     per_reader = dfs._replica_order.get(id(reader))
     if per_reader is None or per_reader[0] is not reader:
         per_reader = dfs._replica_order[id(reader)] = (reader, {})
@@ -167,8 +178,9 @@ def plan_read(
         # Closest replica first; fail over across a partition to the next
         # reachable one (same loop as the per-chunk reader).
         for server in order:
-            key = (id(server), nbytes)
-            network_time = rtt_times.get(key)
+            network_time = None
+            if nbytes == full_chunk:
+                network_time = rtt_memo.get(id(server))
             if network_time is None:
                 try:
                     network_time = round_trip_time(
@@ -177,7 +189,8 @@ def plan_read(
                 except NetworkPartitioned:
                     plan.failovers += 1
                     continue
-                rtt_times[key] = network_time
+                if nbytes == full_chunk:
+                    rtt_memo[id(server)] = network_time
             else:
                 # Two separate adds, mirroring round_trip_time's request
                 # then response legs, so the float accumulation of the

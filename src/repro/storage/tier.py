@@ -160,38 +160,47 @@ class TieredStore:
         times the per-chunk reader would have reached them -- so a
         mid-read observability scrape reads the same progression.
         """
-        # LruCache.touch and _promote_to_ram inlined on the cache-hit paths:
-        # this is the hottest storage call in the simulation and the extra
-        # frames are measurable.
+        # LruCache.touch and StorageDevice.read_time inlined on the cache-hit
+        # paths (same operands, same order): this is the hottest storage
+        # call in the simulation and the extra frames are measurable.
         ram_entries = self._ram_cache._entries
         if key in ram_entries:
             ram_entries.move_to_end(key)
             if self.ssd_admission is not None:
                 self.ssd_admission.on_access(key, hit=True)
-            return self.ram.read_time(nbytes), _RAM
-        if self._ssd_cache.touch(key):
+            if nbytes < 0:
+                raise ValueError("nbytes must be non-negative")
+            device = self.ram
+            tier = _RAM
+        elif key in self._ssd_cache._entries:
+            self._ssd_cache._entries.move_to_end(key)
             if self.ssd_admission is not None:
                 self.ssd_admission.on_access(key, hit=True)
+            # insert() rejects a negative size before any counter moves.
             self._ram_cache.insert(key, nbytes)
             self.ram.write_time(nbytes)
-            return self.ssd.read_time(nbytes), _SSD
-        latency = self.hdd.read_time(nbytes)
-        # Fill the cache levels (exclusive of the HDD read cost), subject to
-        # the admission policy.
-        admit = True
-        if self.ssd_admission is not None:
-            self.ssd_admission.on_access(key, hit=False)
-            admit = self.ssd_admission.should_admit(key, nbytes)
-        if admit:
-            self._ssd_cache.insert(key, nbytes)
-            self.ssd.write_time(nbytes)
-            self._ram_cache.insert(key, nbytes)
-            self.ram.write_time(nbytes)
-        return latency, _HDD
-
-    def _promote_to_ram(self, key: str, nbytes: float) -> None:
-        self._ram_cache.insert(key, nbytes)
-        self.ram.write_time(nbytes)
+            device = self.ssd
+            tier = _SSD
+        else:
+            latency = self.hdd.read_time(nbytes)
+            # Fill the cache levels (exclusive of the HDD read cost), subject
+            # to the admission policy.
+            admit = True
+            if self.ssd_admission is not None:
+                self.ssd_admission.on_access(key, hit=False)
+                admit = self.ssd_admission.should_admit(key, nbytes)
+            if admit:
+                self._ssd_cache.insert(key, nbytes)
+                self.ssd.write_time(nbytes)
+                self._ram_cache.insert(key, nbytes)
+                self.ram.write_time(nbytes)
+            return latency, _HDD
+        device.bytes_read += nbytes
+        device.reads += 1
+        params = device.params
+        time = params.read_latency + nbytes / params.read_bandwidth
+        slowdown = device.slowdown
+        return (time if slowdown == 1.0 else slowdown * time), tier
 
     def write(self, key: str, nbytes: float) -> float:
         """Buffered write: RAM write-buffer latency; data flows down later."""

@@ -23,6 +23,8 @@ A fleet platform with a fault plan never reaches the planner at all.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -363,14 +365,27 @@ class TestDownSetDegrade:
 
 
 def _count_plans(monkeypatch) -> list:
-    """Route ``plan_read`` through a wrapper that logs each call's DFS."""
+    """Route every ``plan_read`` call site through a wrapper that logs each
+    call's DFS.
+
+    The planner is patched in every ``repro`` module that binds it by name,
+    so a read planned from anywhere -- ``DistributedFileSystem.read`` or an
+    IO budget's chain -- is counted.
+    """
     calls = []
 
     def counted(dfs, *args, **kwargs):
         calls.append(dfs)
         return plan_read(dfs, *args, **kwargs)
 
-    monkeypatch.setattr("repro.storage.dfs.plan_read", counted)
+    sites = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro") and getattr(module, "plan_read", None) is plan_read
+    ]
+    assert sites, "no module binds plan_read"
+    for module in sites:
+        monkeypatch.setattr(module, "plan_read", counted)
     return calls
 
 

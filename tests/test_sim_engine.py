@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import (
+    ColumnarEnvironment,
     Environment,
     Interrupt,
     SimulationError,
@@ -186,6 +187,64 @@ class TestEvents:
     def test_value_before_trigger_rejected(self, env):
         with pytest.raises(SimulationError):
             _ = env.event().value
+
+
+class TestTriggerNow:
+    """``Event.trigger_now`` resumes a waiter inside a scheduled call."""
+
+    @pytest.mark.parametrize("env_class", [Environment, ColumnarEnvironment])
+    def test_waiter_resumes_within_the_call(self, env_class):
+        env = env_class()
+        done = env.event()
+        log = []
+
+        def waiter():
+            value = yield done
+            log.append(("resumed", env.now, value, env._counter))
+            yield env.event()  # park: finishing would schedule an event
+
+        def fire():
+            log.append(("call", env.now, None, env._counter))
+            done.trigger_now("ok")
+            log.append(("after", env.now, None, env._counter))
+
+        env.process(waiter())
+        env.run()  # the bootstrap: the process now waits on ``done``
+        before = env.events_processed
+        env.schedule_call(2.5, fire)
+        counter = env._counter
+        env.run()
+        # One event (the call); the resume takes no heap entry of its own.
+        assert env.events_processed - before == 1
+        assert [entry[0] for entry in log] == ["call", "resumed", "after"]
+        assert {entry[1] for entry in log} == {2.5}
+        assert log[1][2] == "ok"
+        assert {entry[3] for entry in log} == {counter}
+        assert done.processed and done.ok
+
+    def test_failure_is_thrown_into_the_waiter(self, env):
+        done = env.event()
+        caught = []
+
+        def waiter():
+            try:
+                yield done
+            except KeyError as exc:
+                caught.append(exc)
+
+        env.process(waiter())
+        env.run()
+        env.schedule_call(1.0, lambda: done.trigger_now(KeyError("x"), ok=False))
+        env.run()
+        assert len(caught) == 1 and not done.ok
+
+    def test_double_trigger_rejected(self, env):
+        done = env.event()
+        done.trigger_now()
+        with pytest.raises(SimulationError):
+            done.trigger_now()
+        with pytest.raises(SimulationError):
+            env.event().succeed().trigger_now()
 
 
 class TestComposites:
